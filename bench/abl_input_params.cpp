@@ -63,12 +63,13 @@ void run(scenario::BatchRunner& batch, bool strip_params) {
     inputs.snapshot = &snapshot;
     const auto demand = spectra.predict_demand(
         apps::PanglossApp::kOperation, params, "", alt);
-    const auto metrics =
-        solver::ExecutionEstimator().estimate(inputs, space, alt, demand);
+    solver::UserMetrics metrics;
+    const bool feasible = solver::ExecutionEstimator().estimate(
+        inputs, space, alt, demand, metrics);
 
     const auto actual = exp.measure(alt);
     SentenceResult r;
-    r.predicted = metrics ? metrics->time : 0.0;
+    r.predicted = feasible ? metrics.time : 0.0;
     r.actual = actual.time;
     r.err = 100.0 * std::abs(r.predicted - r.actual) / r.actual;
     return r;

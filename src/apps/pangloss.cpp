@@ -9,6 +9,29 @@ namespace spectra::apps {
 namespace {
 const std::array<const char*, 4> kComponentNames = {"ebmt", "gloss", "dict",
                                                     "lm"};
+
+// Feature names of one component, interned once per process: the solver
+// maps every candidate, so no name may be built or looked up per call.
+struct ComponentFeatures {
+  util::Symbol engine;    // discrete: fidelity flag (engines only)
+  util::Symbol local_w;   // words, component runs locally
+  util::Symbol remote_w;  // words, component runs remotely
+  util::Symbol remote_i;  // 1, component runs remotely (per-call overhead)
+};
+
+const std::array<ComponentFeatures, 4>& component_features() {
+  static const std::array<ComponentFeatures, 4> names = [] {
+    std::array<ComponentFeatures, 4> out;
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      const std::string name = kComponentNames[c];
+      out[c] = {util::Symbol(name), util::Symbol(name + "_local_w"),
+                util::Symbol(name + "_remote_w"),
+                util::Symbol(name + "_remote_i")};
+    }
+    return out;
+  }();
+  return names;
+}
 }  // namespace
 
 void PanglossApp::install_files(fs::FileServer& server) const {
@@ -81,29 +104,27 @@ solver::Alternative PanglossApp::canonical(const solver::Alternative& alt) {
   return c;
 }
 
-predict::FeatureVector PanglossApp::features(
-    const solver::Alternative& alt, const std::map<std::string, double>& params,
-    const std::string& tag) {
-  const double words = params.at("words");
-  predict::FeatureVector f;
-  f.data_tag = tag;
+void PanglossApp::features(const solver::Alternative& alt,
+                           const predict::FeatureMap& params,
+                           predict::FeatureVector& f) {
+  static const util::Symbol kWords("words");
+  const auto& names = component_features();
+  const double words = params.at(kWords);
   // Discrete: the fidelity subset only — the file predictor needs to know
   // which engines (and hence which data files) are in play, while demand is
   // generalized across placements by the continuous features below.
   for (int c = 0; c < kLm; ++c) {
-    f.discrete[kComponentNames[c]] = alt.fidelity.at(kComponentNames[c]);
+    f.discrete[names[c].engine] = alt.fidelity.at(kComponentNames[c]);
   }
   for (int c = 0; c <= kLm; ++c) {
     if (!component_enabled(alt, c)) continue;
-    const std::string name = kComponentNames[c];
     if (component_remote(alt, c)) {
-      f.continuous[name + "_remote_w"] = words;
-      f.continuous[name + "_remote_i"] = 1.0;
+      f.continuous[names[c].remote_w] = words;
+      f.continuous[names[c].remote_i] = 1.0;
     } else {
-      f.continuous[name + "_local_w"] = words;
+      f.continuous[names[c].local_w] = words;
     }
   }
-  return f;
 }
 
 void PanglossApp::register_op(core::SpectraClient& client) const {

@@ -90,10 +90,11 @@ class PanglossApp {
   // identical alternatives (used to dedupe oracle enumeration).
   static solver::Alternative canonical(const solver::Alternative& alt);
 
-  // The paper's application-specific feature mapping (see file comment).
-  static predict::FeatureVector features(
-      const solver::Alternative& alt,
-      const std::map<std::string, double>& params, const std::string& tag);
+  // The paper's application-specific feature mapping (see file comment),
+  // added to `out` (the core::FeatureFn contract).
+  static void features(const solver::Alternative& alt,
+                       const predict::FeatureMap& params,
+                       predict::FeatureVector& out);
 
   void execute(core::SpectraClient& client, int words) const;
   monitor::OperationUsage run(core::SpectraClient& client, int words) const;

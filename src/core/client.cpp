@@ -171,11 +171,15 @@ void SpectraClient::register_fidelity(OperationDesc desc) {
 
   machine_.run_cycles(config_.register_cycles);
 
-  RegisteredOp op{desc, predict::OperationModel(config_.model), nullptr, 0};
+  RegisteredOp op{desc, predict::OperationModel(config_.model), nullptr, 0,
+                  {}};
   op.utility = desc.utility != nullptr
                    ? desc.utility
                    : std::make_shared<solver::DefaultUtility>(
                          desc.latency_fn, desc.fidelity_fn);
+  for (const auto& dim : desc.fidelities) {
+    op.fidelity_names.emplace_back(dim.name);
+  }
   // Bootstrap the models from the persistent usage log (§3.4).
   for (const auto& record : usage_log_.for_operation(desc.name)) {
     op.model.replay(record);
@@ -183,25 +187,35 @@ void SpectraClient::register_fidelity(OperationDesc desc) {
   ops_.emplace(desc.name, std::move(op));
 }
 
-predict::FeatureVector SpectraClient::make_features(
-    const OperationDesc& desc, const solver::Alternative& alt,
-    const std::map<std::string, double>& params,
-    const std::string& data_tag) const {
-  if (desc.feature_fn != nullptr) {
-    return desc.feature_fn(alt, params, data_tag);
+void SpectraClient::make_features(const RegisteredOp& op,
+                                  const solver::Alternative& alt,
+                                  const predict::FeatureMap& params,
+                                  util::Symbol data_tag,
+                                  predict::FeatureVector& out) const {
+  out.discrete.clear();
+  out.continuous.clear();
+  out.data_tag = data_tag;
+  if (op.desc.feature_fn != nullptr) {
+    op.desc.feature_fn(alt, params, out);
+    return;
   }
   // Interned once per process; candidate evaluation re-enters this per
   // alternative, so the names must not round-trip through the interner's
   // hash table every time.
   static const util::Symbol kPlan("plan");
   static const util::Symbol kServer("server");
-  predict::FeatureVector f;
-  f.discrete[kPlan] = static_cast<double>(alt.plan);
-  if (alt.server >= 0) f.discrete[kServer] = static_cast<double>(alt.server);
-  for (const auto& [k, v] : alt.fidelity) f.discrete[util::Symbol(k)] = v;
-  f.continuous = params;
-  f.data_tag = data_tag;
-  return f;
+  out.discrete[kPlan] = static_cast<double>(alt.plan);
+  if (alt.server >= 0) out.discrete[kServer] = static_cast<double>(alt.server);
+  for (const auto& [name, value] : alt.fidelity) {
+    const auto known = std::find_if(
+        op.fidelity_names.begin(), op.fidelity_names.end(),
+        [&name](util::Symbol s) { return s.view() == name; });
+    // Only a forced alternative naming an unregistered knob interns here.
+    out.discrete[known != op.fidelity_names.end() ? *known
+                                                  : util::Symbol(name)] =
+        value;
+  }
+  out.continuous = params;
 }
 
 const predict::DemandEstimate& SpectraClient::cached_demand(
@@ -210,19 +224,26 @@ const predict::DemandEstimate& SpectraClient::cached_demand(
   // Sorted by hash; the equal-hash run (almost always one entry) is
   // scanned with structural equality, so a hash collision costs a compare,
   // never a wrong estimate.
-  auto it = std::lower_bound(
-      demand_cache_.begin(), demand_cache_.end(), h,
-      [](const DemandCacheEntry& e, std::size_t key) { return e.hash < key; });
-  for (; it != demand_cache_.end() && it->hash == h; ++it) {
-    if (it->features == f) return it->demand;
+  auto it = std::lower_bound(demand_order_.begin(), demand_order_.end(), h,
+                             [this](std::uint32_t slot, std::size_t key) {
+                               return demand_cache_[slot].hash < key;
+                             });
+  for (; it != demand_order_.end() && demand_cache_[*it].hash == h; ++it) {
+    if (demand_cache_[*it].features == f) return demand_cache_[*it].demand;
   }
-  it = demand_cache_.insert(it, DemandCacheEntry{h, f, model.predict(f)});
-  return it->demand;
+  if (demand_cache_live_ == demand_cache_.size()) demand_cache_.emplace_back();
+  const auto slot = static_cast<std::uint32_t>(demand_cache_live_++);
+  DemandCacheEntry& e = demand_cache_[slot];
+  e.hash = h;
+  e.features = f;
+  model.predict(f, e.demand);
+  demand_order_.insert(it, slot);
+  return e.demand;
 }
 
-OperationChoice SpectraClient::choose(
-    RegisteredOp& op, const std::map<std::string, double>& params,
-    const std::string& data_tag) {
+OperationChoice SpectraClient::choose(RegisteredOp& op,
+                                      const predict::FeatureMap& params,
+                                      util::Symbol data_tag) {
   OperationChoice choice;
   const double wall_t0 = wall_now();
   const util::Seconds vt0 = engine_.now();
@@ -303,32 +324,34 @@ OperationChoice SpectraClient::choose(
     trace.energy_importance = snapshot.energy_importance;
   }
 
-  solver::UserMetrics best_metrics;
-  solver::TimeBreakdown best_breakdown;
-  demand_cache_.clear();
+  clear_demand_cache();
+  // One scratch feature vector and one scratch metrics per decision: once
+  // they have held the largest candidate, evaluating another allocates
+  // nothing and looks up no interned string.
+  predict::FeatureVector features;
+  solver::UserMetrics metrics;
   const auto eval = [&](const solver::Alternative& alt) {
-    const predict::FeatureVector f =
-        make_features(op.desc, alt, params, data_tag);
-    const predict::DemandEstimate& demand = cached_demand(op.model, f);
+    make_features(op, alt, params, data_tag, features);
+    const predict::DemandEstimate& demand = cached_demand(op.model, features);
     solver::TimeBreakdown tb;
-    auto metrics = estimator_.estimate(inputs, space, alt, demand, &tb);
+    const bool feasible =
+        estimator_.estimate(inputs, space, alt, demand, metrics, &tb);
     // Health feedback into the placement decision: a suspected or failing
     // server's predicted time is inflated, so the solver avoids it unless
     // it is decisively better. Exactly 1.0 for healthy servers, keeping
     // fault-free decisions bit-identical.
-    if (metrics && alt.server >= 0 && alt.server != id_) {
+    if (feasible && alt.server >= 0 && alt.server != id_) {
       const double pf = health_.penalty_factor(alt.server);
-      if (pf != 1.0) metrics->time *= pf;
+      if (pf != 1.0) metrics.time *= pf;
     }
     const double lu =
-        metrics ? op.utility->log_utility(*metrics,
-                                          snapshot.energy_importance)
-                : solver::kInfeasible;
+        feasible ? op.utility->log_utility(metrics, snapshot.energy_importance)
+                 : solver::kInfeasible;
     if (config_.trace_decisions) {
       DecisionTraceEntry entry;
       entry.alternative = alt;
-      entry.feasible = metrics.has_value();
-      if (metrics) entry.predicted = *metrics;
+      entry.feasible = feasible;
+      if (feasible) entry.predicted = metrics;
       entry.breakdown = tb;
       entry.log_utility = lu;
       trace.entries.push_back(std::move(entry));
@@ -366,18 +389,11 @@ OperationChoice SpectraClient::choose(
     choice.memo_hits = result.memo_hits;
     // Recompute the winner's metrics for reporting (the demand comes from
     // the per-solve cache — the solver already priced this alternative).
-    const predict::FeatureVector f =
-        make_features(op.desc, result.best, params, data_tag);
-    const predict::DemandEstimate& demand = cached_demand(op.model, f);
-    const auto metrics =
+    make_features(op, result.best, params, data_tag, features);
+    const predict::DemandEstimate& demand = cached_demand(op.model, features);
+    have_winner_metrics =
         estimator_.estimate(inputs, space, result.best, demand,
-                            &best_breakdown);
-    if (metrics) {
-      best_metrics = *metrics;
-      choice.predicted = best_metrics;
-      choice.predicted_breakdown = best_breakdown;
-      have_winner_metrics = true;
-    }
+                            choice.predicted, &choice.predicted_breakdown);
     choice.predicted_demand = demand;
     choice.has_predicted_demand = true;
   }
@@ -411,7 +427,7 @@ OperationChoice SpectraClient::choose(
         .field("energy_importance", snapshot.energy_importance);
     if (have_winner_metrics) {
       const solver::UtilityTerms terms = op.utility->log_utility_terms(
-          best_metrics, snapshot.energy_importance);
+          choice.predicted, snapshot.energy_importance);
       ev.field("lu_total", choice.log_utility)
           .field("lu_latency", terms.latency)
           .field("lu_energy", terms.energy)
@@ -436,15 +452,15 @@ OperationChoice SpectraClient::choose(
   return choice;
 }
 
-void SpectraClient::start_execution(
-    RegisteredOp& op, const std::map<std::string, double>& params,
-    const std::string& data_tag, OperationChoice choice,
-    bool allow_fallback) {
+void SpectraClient::start_execution(RegisteredOp& op,
+                                    const predict::FeatureMap& params,
+                                    util::Symbol data_tag,
+                                    OperationChoice choice,
+                                    bool allow_fallback) {
   SPECTRA_REQUIRE(choice.ok, "cannot start an operation without a choice");
   ActiveOp active;
   active.name = op.desc.name;
-  active.features =
-      make_features(op.desc, choice.alternative, params, data_tag);
+  make_features(op, choice.alternative, params, data_tag, active.features);
   active.choice = choice;
   active.params = params;
   active.data_tag = data_tag;
@@ -463,7 +479,8 @@ void SpectraClient::start_execution(
         config_.obs != nullptr ? total_dirty_bytes(coda_) : 0.0;
     try {
       if (op.model.trained()) {
-        const auto demand = op.model.predict(active.features);
+        predict::DemandEstimate demand;
+        op.model.predict(active.features, demand);
         active.choice.reintegration_time =
             consistency_.ensure_consistency(demand.files);
       } else {
@@ -509,8 +526,8 @@ void SpectraClient::start_execution(
       active.choice.degraded = true;
       active.choice.alternative.plan = local_plan;
       active.choice.alternative.server = -1;
-      active.features = make_features(op.desc, active.choice.alternative,
-                                      params, data_tag);
+      make_features(op, active.choice.alternative, params, data_tag,
+                    active.features);
       if (m_degradations_ != nullptr) m_degradations_->add();
       if (config_.obs != nullptr && config_.obs->tracing()) {
         obs::TraceEvent ev("degrade", engine_.now());
@@ -531,9 +548,14 @@ OperationChoice SpectraClient::begin_fidelity_op(
     const std::string& data_tag) {
   SPECTRA_REQUIRE(!active_, "an operation is already in progress");
   RegisteredOp& op = registered(op_name);
-  OperationChoice choice = choose(op, params, data_tag);
+  // Parameter names and the data tag are interned once per call, not once
+  // per candidate.
+  const predict::FeatureMap interned_params(params);
+  const util::Symbol tag(data_tag);
+  OperationChoice choice = choose(op, interned_params, tag);
   if (choice.ok) {
-    start_execution(op, params, data_tag, choice, /*allow_fallback=*/true);
+    start_execution(op, interned_params, tag, choice,
+                    /*allow_fallback=*/true);
   }
   return active_ ? active_->choice : choice;
 }
@@ -551,9 +573,11 @@ OperationChoice SpectraClient::begin_fidelity_op_forced(
   choice.ok = true;
   choice.from_model = false;
   choice.alternative = alternative;
+  const predict::FeatureMap interned_params(params);
   // Forced runs measure a specific alternative: no graceful degradation,
   // the requested alternative either runs or the failure propagates.
-  start_execution(op, params, data_tag, choice, /*allow_fallback=*/false);
+  start_execution(op, interned_params, util::Symbol(data_tag), choice,
+                  /*allow_fallback=*/false);
   return active_->choice;
 }
 
@@ -658,20 +682,19 @@ std::vector<MachineId> SpectraClient::rank_failover_candidates(
   std::vector<std::pair<double, MachineId>> scored;
   // Fresh per-solve demand cache: the model may have trained since the
   // original decision, so stale entries must not leak in.
-  demand_cache_.clear();
+  clear_demand_cache();
+  solver::Alternative alt = active_->choice.alternative;
+  predict::FeatureVector features;
+  solver::UserMetrics metrics;
   for (MachineId sid : survivors) {
-    solver::Alternative alt = active_->choice.alternative;
     alt.server = sid;
-    const predict::FeatureVector f =
-        make_features(op.desc, alt, active_->params, active_->data_tag);
-    const predict::DemandEstimate& demand = cached_demand(op.model, f);
-    solver::TimeBreakdown tb;
-    auto metrics = estimator_.estimate(inputs, space, alt, demand, &tb);
+    make_features(op, alt, active_->params, active_->data_tag, features);
+    const predict::DemandEstimate& demand = cached_demand(op.model, features);
     double lu = solver::kInfeasible;
-    if (metrics) {
+    if (estimator_.estimate(inputs, space, alt, demand, metrics)) {
       const double pf = health_.penalty_factor(sid);
-      if (pf != 1.0) metrics->time *= pf;
-      lu = op.utility->log_utility(*metrics, snapshot.energy_importance);
+      if (pf != 1.0) metrics.time *= pf;
+      lu = op.utility->log_utility(metrics, snapshot.energy_importance);
     }
     scored.emplace_back(lu, sid);
   }
@@ -704,8 +727,8 @@ rpc::Response SpectraClient::degrade_remote_op(const std::string& service,
   auto adopt = [&](MachineId new_server, const char* mode) {
     active_->choice.degraded = true;
     active_->choice.alternative.server = new_server;
-    active_->features = make_features(op.desc, active_->choice.alternative,
-                                      active_->params, active_->data_tag);
+    make_features(op, active_->choice.alternative, active_->params,
+                  active_->data_tag, active_->features);
     if (m_degradations_ != nullptr) m_degradations_->add();
     if (config_.obs != nullptr && config_.obs->tracing()) {
       obs::TraceEvent ev("degrade", engine_.now());
@@ -760,10 +783,10 @@ rpc::Response SpectraClient::degrade_remote_op(const std::string& service,
                              std::max(1, stats.transport_failures));
       solver::Alternative alt = active_->choice.alternative;
       alt.server = best;
-      note_failed_call(op,
-                       make_features(op.desc, alt, active_->params,
-                                     active_->data_tag),
-                       stats);
+      predict::FeatureVector failed_features;
+      make_features(op, alt, active_->params, active_->data_tag,
+                    failed_features);
+      note_failed_call(op, failed_features, stats);
       server_db_.mark_unavailable(best);
       excluded.push_back(best);
     }
@@ -909,7 +932,12 @@ predict::DemandEstimate SpectraClient::predict_demand(
     const std::string& op, const std::map<std::string, double>& params,
     const std::string& data_tag, const solver::Alternative& alt) const {
   const RegisteredOp& r = registered(op);
-  return r.model.predict(make_features(r.desc, alt, params, data_tag));
+  const predict::FeatureMap interned_params(params);
+  predict::FeatureVector features;
+  make_features(r, alt, interned_params, util::Symbol(data_tag), features);
+  predict::DemandEstimate demand;
+  r.model.predict(features, demand);
+  return demand;
 }
 
 void SpectraClient::save_usage_log() const {

@@ -20,6 +20,7 @@
 // time (reported for the Fig-10 overhead table).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -45,6 +46,7 @@
 #include "solver/estimator.h"
 #include "solver/solver.h"
 #include "solver/utility.h"
+#include "util/interner.h"
 #include "util/rng.h"
 
 namespace spectra::core {
@@ -113,9 +115,17 @@ struct SpectraClientConfig {
 // input parameters to continuous features; applications with compositional
 // structure (Pangloss-Lite's per-engine placement) override this — the
 // paper's application-specific-predictor hook (§3.4).
-using FeatureFn = std::function<predict::FeatureVector(
-    const solver::Alternative&, const std::map<std::string, double>&,
-    const std::string& data_tag)>;
+//
+// The hook adds the features of `alt` to `out`, which the client owns and
+// reuses for every candidate of a decision; the client empties both maps
+// (keeping their storage) and sets out.data_tag before each call.
+// Parameter names arrive interned once per call, so a hook that keeps its
+// own feature names in static Symbols allocates nothing and looks up no
+// string per candidate.
+using FeatureFn =
+    std::function<void(const solver::Alternative& alt,
+                       const predict::FeatureMap& params,
+                       predict::FeatureVector& out)>;
 
 struct OperationDesc {
   std::string name;
@@ -277,6 +287,9 @@ class SpectraClient {
     predict::OperationModel model;
     std::shared_ptr<solver::UtilityFunction> utility;
     std::size_t executions = 0;
+    // desc.fidelities' names, interned at registration for the default
+    // feature mapping.
+    std::vector<util::Symbol> fidelity_names;
   };
 
   struct ActiveOp {
@@ -288,8 +301,8 @@ class SpectraClient {
     // Kept so features can be recomputed if the operation degrades to a
     // different alternative mid-flight (the model must learn from what
     // actually ran).
-    std::map<std::string, double> params;
-    std::string data_tag;
+    predict::FeatureMap params;
+    util::Symbol data_tag;
     // Model-driven operations may fall back when their chosen alternative
     // fails; forced (measurement-harness) runs must execute exactly the
     // requested alternative or fail.
@@ -304,16 +317,15 @@ class SpectraClient {
 
   RegisteredOp& registered(const std::string& op);
   const RegisteredOp& registered(const std::string& op) const;
-  predict::FeatureVector make_features(
-      const OperationDesc& desc, const solver::Alternative& alt,
-      const std::map<std::string, double>& params,
-      const std::string& data_tag) const;
-  OperationChoice choose(RegisteredOp& op,
-                         const std::map<std::string, double>& params,
-                         const std::string& data_tag);
-  void start_execution(RegisteredOp& op,
-                       const std::map<std::string, double>& params,
-                       const std::string& data_tag, OperationChoice choice,
+  // Fill `out` with the features of `alt`: the application's hook when it
+  // registered one, else the default mapping.
+  void make_features(const RegisteredOp& op, const solver::Alternative& alt,
+                     const predict::FeatureMap& params, util::Symbol data_tag,
+                     predict::FeatureVector& out) const;
+  OperationChoice choose(RegisteredOp& op, const predict::FeatureMap& params,
+                         util::Symbol data_tag);
+  void start_execution(RegisteredOp& op, const predict::FeatureMap& params,
+                       util::Symbol data_tag, OperationChoice choice,
                        bool allow_fallback);
   // Failover path for do_remote_op after retries are exhausted. With
   // resolve_on_failover (default) the placement decision is re-run over the
@@ -359,24 +371,30 @@ class SpectraClient {
   solver::HeuristicSolver solver_;
   // Per-solve demand cache: one model prediction per distinct feature
   // vector within a single decision (the winner's recompute and any
-  // repeated candidate evaluations hit it). Cleared at the start of every
-  // solve; a member so its storage is reused across decisions. A flat
-  // vector sorted by feature hash (structural equality breaks the rare
-  // hash tie) instead of an unordered_map: a solve sees a handful of
-  // distinct vectors, so the map's bucket array was pure per-client
-  // resident overhead at fleet scale.
+  // repeated candidate evaluations hit it). Emptied at the start of every
+  // solve, but its entries are slots kept across solves: a miss overwrites
+  // the next slot in place, reusing the storage of its feature maps and
+  // file list. `demand_order_` indexes the live slots sorted by feature
+  // hash (structural equality breaks the rare hash tie); a solve sees a few
+  // dozen distinct vectors, too few to pay for a hash map's bucket array in
+  // every client of a fleet.
   struct DemandCacheEntry {
     std::size_t hash = 0;
     predict::FeatureVector features;
     predict::DemandEstimate demand;
   };
   std::vector<DemandCacheEntry> demand_cache_;
-  // Lookup-or-insert into demand_cache_: predicts via `model` on first
-  // sight of `f`, returns the cached estimate otherwise. The reference is
-  // valid until the next insertion.
+  std::size_t demand_cache_live_ = 0;
+  std::vector<std::uint32_t> demand_order_;
+  void clear_demand_cache() {
+    demand_cache_live_ = 0;
+    demand_order_.clear();
+  }
+  // Lookup-or-insert: predicts via `model` on first sight of `f`, returns
+  // the cached estimate otherwise. The reference is valid until the next
+  // insertion.
   const predict::DemandEstimate& cached_demand(
-      const predict::OperationModel& model,
-      const predict::FeatureVector& f);
+      const predict::OperationModel& model, const predict::FeatureVector& f);
 
   std::map<std::string, RegisteredOp> ops_;
   std::optional<ActiveOp> active_;

@@ -41,6 +41,8 @@ class FeatureMap {
   FeatureMap(std::initializer_list<std::pair<std::string_view, double>> init) {
     for (const auto& [name, value] : init) (*this)[util::Symbol(name)] = value;
   }
+  // Interns every name of `m` (once, so later copies compare ids only).
+  explicit FeatureMap(const std::map<std::string, double>& m) { *this = m; }
   FeatureMap& operator=(const std::map<std::string, double>& m) {
     entries_.clear();
     entries_.reserve(m.size());
@@ -69,6 +71,12 @@ class FeatureMap {
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
+  // Drop every entry but keep the storage, so a map refilled per candidate
+  // allocates nothing once it has held its largest feature set.
+  void clear() {
+    entries_.clear();
+    hash_valid_ = false;
+  }
   // Iteration is in name order (run-stable); ids must never drive order.
   auto begin() const { return entries_.begin(); }
   auto end() const { return entries_.end(); }

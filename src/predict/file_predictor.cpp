@@ -92,22 +92,20 @@ const FileAccessPredictor::Bin* FileAccessPredictor::lookup(
   return pick(global_);
 }
 
-std::vector<FilePrediction> FileAccessPredictor::render(const Bin& bin) const {
-  std::vector<FilePrediction> out;
+void FileAccessPredictor::render(const Bin& bin,
+                                 std::vector<FilePrediction>& out) const {
   out.reserve(bin.files.size());
   for (const auto& e : bin.files) {  // path order: deterministic
     const double p = e.stat.likelihood.empty() ? 0.0 : e.stat.likelihood.value();
     if (p < config_.min_likelihood) continue;
     out.push_back(FilePrediction{e.path, e.stat.last_size, p});
   }
-  return out;
 }
 
-std::vector<FilePrediction> FileAccessPredictor::predict(
-    const FeatureVector& f) const {
-  const Bin* bin = lookup(f);
-  if (bin == nullptr) return {};
-  return render(*bin);
+void FileAccessPredictor::predict(const FeatureVector& f,
+                                  std::vector<FilePrediction>& out) const {
+  out.clear();
+  if (const Bin* bin = lookup(f)) render(*bin, out);
 }
 
 double FileAccessPredictor::likelihood(const FeatureVector& f,

@@ -54,8 +54,9 @@ class FileAccessPredictor {
   // Record the set of files one execution accessed (local + remote).
   void add(const FeatureVector& f, const std::vector<fs::Access>& accesses);
 
-  // Files the next execution with these features is likely to access.
-  std::vector<FilePrediction> predict(const FeatureVector& f) const;
+  // Files the next execution with these features is likely to access,
+  // written over `out` (its storage is reused).
+  void predict(const FeatureVector& f, std::vector<FilePrediction>& out) const;
 
   // Likelihood for one specific file (0 when unknown).
   double likelihood(const FeatureVector& f, util::Symbol path) const;
@@ -83,7 +84,7 @@ class FileAccessPredictor {
                   const std::vector<std::pair<util::Symbol, util::Bytes>>&
                       accessed);
   const Bin* lookup(const FeatureVector& f) const;
-  std::vector<FilePrediction> render(const Bin& bin) const;
+  void render(const Bin& bin, std::vector<FilePrediction>& out) const;
 
   FilePredictorConfig config_;
   BinSet global_;

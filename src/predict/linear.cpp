@@ -64,31 +64,42 @@ bool RecencyLinear::solve(std::vector<double>& beta) const {
   if (samples_ < d + 1) return false;
   // Gaussian elimination with ridge regularization scaled to the trace so
   // that collinear histories (e.g. every sample at the same parameter
-  // value) degrade gracefully instead of exploding.
-  std::vector<std::vector<double>> a = xtx_;
+  // value) degrade gracefully instead of exploding. `a` is xtx_ copied
+  // row-major into a flat buffer reused across solves on this thread.
+  thread_local std::vector<double> flat;
+  flat.resize(d * d);
+  for (std::size_t i = 0; i < d; ++i) {
+    std::copy(xtx_[i].begin(), xtx_[i].end(), flat.begin() + i * d);
+  }
+  const auto a = [&](std::size_t r, std::size_t c) -> double& {
+    return flat[r * d + c];
+  };
   double trace = 0.0;
-  for (std::size_t i = 0; i < d; ++i) trace += a[i][i];
+  for (std::size_t i = 0; i < d; ++i) trace += a(i, i);
   const double ridge = 1e-8 * std::max(trace, 1.0);
-  for (std::size_t i = 0; i < d; ++i) a[i][i] += ridge;
+  for (std::size_t i = 0; i < d; ++i) a(i, i) += ridge;
 
   beta = xty_;
   for (std::size_t col = 0; col < d; ++col) {
     // Partial pivoting.
     std::size_t pivot = col;
     for (std::size_t r = col + 1; r < d; ++r) {
-      if (std::abs(a[r][col]) > std::abs(a[pivot][col])) pivot = r;
+      if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
     }
-    if (std::abs(a[pivot][col]) < 1e-12) return false;
-    std::swap(a[col], a[pivot]);
+    if (std::abs(a(pivot, col)) < 1e-12) return false;
+    if (pivot != col) {
+      std::swap_ranges(flat.begin() + col * d, flat.begin() + (col + 1) * d,
+                       flat.begin() + pivot * d);
+    }
     std::swap(beta[col], beta[pivot]);
     for (std::size_t r = 0; r < d; ++r) {
       if (r == col) continue;
-      const double f = a[r][col] / a[col][col];
-      for (std::size_t c = col; c < d; ++c) a[r][c] -= f * a[col][c];
+      const double f = a(r, col) / a(col, col);
+      for (std::size_t c = col; c < d; ++c) a(r, c) -= f * a(col, c);
       beta[r] -= f * beta[col];
     }
   }
-  for (std::size_t i = 0; i < d; ++i) beta[i] /= a[i][i];
+  for (std::size_t i = 0; i < d; ++i) beta[i] /= a(i, i);
   return true;
 }
 
@@ -104,10 +115,14 @@ double RecencyLinear::predict(const FeatureMap& continuous) const {
   SPECTRA_REQUIRE(!empty(), "predict on an untrained model");
   const std::vector<double>* beta = nullptr;
   if (!names_.empty() && solved_beta(&beta)) {
-    std::vector<double> x;
-    to_x(continuous, x);
+    // y = β₀·1 + Σ βᵢ·xᵢ over x = [1, features in names_ order], summed in
+    // that order; a feature absent from `continuous` contributes βᵢ·0.
     double y = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) y += (*beta)[i] * x[i];
+    y += (*beta)[0] * 1.0;
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      const double* v = continuous.find(names_[i]);
+      y += (*beta)[i + 1] * (v != nullptr ? *v : 0.0);
+    }
     if (std::isfinite(y)) return std::max(0.0, y);
   }
   return std::max(0.0, mean_num_ / weight_);

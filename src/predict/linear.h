@@ -23,7 +23,8 @@ class RecencyLinear {
 
   // Prediction for the given continuous features; falls back to the
   // weighted mean when the regression is not identifiable. Clamped to >= 0
-  // (resource demands are non-negative).
+  // (resource demands are non-negative). Allocates nothing once the
+  // coefficients are solved.
   double predict(const FeatureMap& continuous) const;
 
   double total_weight() const { return weight_; }
@@ -39,6 +40,9 @@ class RecencyLinear {
 
  private:
   void to_x(const FeatureMap& continuous, std::vector<double>& x) const;
+  // Eliminates on one flat per-thread buffer, never on model-owned scratch:
+  // every World clone copies the models, so scratch kept here would be
+  // paid for by every parked session.
   bool solve(std::vector<double>& beta) const;
   // solve() is a pure function of the sufficient statistics, which change
   // only in add() — memoize the solved coefficients across the many

@@ -37,21 +37,19 @@ void OperationModel::observe_failure(const FeatureVector& f,
   ++failure_observations_;
 }
 
-DemandEstimate OperationModel::predict(const FeatureVector& f) const {
-  DemandEstimate e;
-  if (local_cycles_.trained()) e.local_cycles = local_cycles_.predict(f);
-  if (remote_cycles_.trained()) e.remote_cycles = remote_cycles_.predict(f);
-  if (bytes_sent_.trained()) e.bytes_sent = bytes_sent_.predict(f);
-  if (bytes_received_.trained()) {
-    e.bytes_received = bytes_received_.predict(f);
-  }
-  if (rpcs_.trained()) e.rpcs = rpcs_.predict(f);
-  if (energy_.trained()) {
-    e.energy = energy_.predict(f);
-    e.has_energy = true;
-  }
-  e.files = files_.predict(f);
-  return e;
+void OperationModel::predict(const FeatureVector& f,
+                             DemandEstimate& e) const {
+  const auto metric = [&f](const NumericPredictor& p) {
+    return p.trained() ? p.predict(f) : 0.0;
+  };
+  e.local_cycles = metric(local_cycles_);
+  e.remote_cycles = metric(remote_cycles_);
+  e.bytes_sent = metric(bytes_sent_);
+  e.bytes_received = metric(bytes_received_);
+  e.rpcs = metric(rpcs_);
+  e.energy = metric(energy_);
+  e.has_energy = energy_.trained();
+  files_.predict(f, e.files);
 }
 
 }  // namespace spectra::predict

@@ -56,7 +56,10 @@ class OperationModel {
   void observe_failure(const FeatureVector& features,
                        const monitor::OperationUsage& partial);
 
-  DemandEstimate predict(const FeatureVector& features) const;
+  // Predicted demand for `features`, written over every field of `out`
+  // (its file list's storage is reused, so a caller-owned estimate refills
+  // without allocating).
+  void predict(const FeatureVector& features, DemandEstimate& out) const;
 
   // True once at least one execution has been observed.
   bool trained() const { return local_cycles_.trained(); }

@@ -7,10 +7,12 @@
 
 namespace spectra::solver {
 
-std::optional<UserMetrics> ExecutionEstimator::estimate(
-    const EstimatorInputs& inputs, const AlternativeSpace& space,
-    const Alternative& alt, const predict::DemandEstimate& demand,
-    TimeBreakdown* breakdown) const {
+bool ExecutionEstimator::estimate(const EstimatorInputs& inputs,
+                                  const AlternativeSpace& space,
+                                  const Alternative& alt,
+                                  const predict::DemandEstimate& demand,
+                                  UserMetrics& out,
+                                  TimeBreakdown* breakdown) const {
   SPECTRA_REQUIRE(inputs.snapshot != nullptr, "estimator needs a snapshot");
   SPECTRA_REQUIRE(alt.plan >= 0 &&
                       alt.plan < static_cast<int>(space.plans.size()),
@@ -21,22 +23,22 @@ std::optional<UserMetrics> ExecutionEstimator::estimate(
   const monitor::ServerAvailability* server = nullptr;
   if (remote) {
     auto it = snap.servers.find(alt.server);
-    if (it == snap.servers.end()) return std::nullopt;
+    if (it == snap.servers.end()) return false;
     server = &it->second;
     // Unreachable or never-polled servers cannot be priced.
-    if (!server->reachable || server->cpu_hz <= 0.0) return std::nullopt;
+    if (!server->reachable || server->cpu_hz <= 0.0) return false;
   }
 
   TimeBreakdown tb;
 
   // CPU.
-  if (snap.local_cpu_hz <= 0.0) return std::nullopt;
+  if (snap.local_cpu_hz <= 0.0) return false;
   tb.local_cpu = demand.local_cycles / snap.local_cpu_hz;
   if (remote) tb.remote_cpu = demand.remote_cycles / server->cpu_hz;
 
   // Network.
   if (remote) {
-    if (server->bandwidth <= 0.0) return std::nullopt;
+    if (server->bandwidth <= 0.0) return false;
     tb.network = (demand.bytes_sent + demand.bytes_received) /
                      server->bandwidth +
                  demand.rpcs * 2.0 * server->latency;
@@ -59,7 +61,7 @@ std::optional<UserMetrics> ExecutionEstimator::estimate(
     expected_fetch += fp.likelihood * fp.size;
   }
   if (expected_fetch > 0.0) {
-    if (fetch_rate <= 0.0) return std::nullopt;
+    if (fetch_rate <= 0.0) return false;
     tb.cache_miss = expected_fetch / fetch_rate;
   }
 
@@ -94,19 +96,18 @@ std::optional<UserMetrics> ExecutionEstimator::estimate(
       }
     }
     if (reint_bytes > 0.0) {
-      if (inputs.fileserver_bandwidth <= 0.0) return std::nullopt;
+      if (inputs.fileserver_bandwidth <= 0.0) return false;
       tb.consistency = reint_bytes / inputs.fileserver_bandwidth;
     }
   }
 
   if (breakdown != nullptr) *breakdown = tb;
 
-  UserMetrics m;
-  m.time = tb.total();
-  m.energy = demand.energy;
-  m.has_energy = demand.has_energy;
-  m.fidelity = alt.fidelity;
-  return m;
+  out.time = tb.total();
+  out.energy = demand.energy;
+  out.has_energy = demand.has_energy;
+  out.fidelity = alt.fidelity;
+  return true;
 }
 
 }  // namespace spectra::solver

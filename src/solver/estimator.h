@@ -19,7 +19,6 @@
 // Energy comes from the learned per-plan energy demand model.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,13 +61,14 @@ struct TimeBreakdown {
 
 class ExecutionEstimator {
  public:
-  // Estimate the metrics of `alt` under `inputs`. Returns nullopt when the
-  // alternative is infeasible (unreachable server, no status yet, no CPU
-  // availability information).
-  std::optional<UserMetrics> estimate(
-      const EstimatorInputs& inputs, const AlternativeSpace& space,
-      const Alternative& alt, const predict::DemandEstimate& demand,
-      TimeBreakdown* breakdown = nullptr) const;
+  // Estimate the metrics of `alt` under `inputs` into `out`, which the
+  // caller owns and may reuse across candidates. Returns false, leaving
+  // `out` and `*breakdown` untouched, when the alternative is infeasible
+  // (unreachable server, no status yet, no CPU availability information).
+  bool estimate(const EstimatorInputs& inputs, const AlternativeSpace& space,
+                const Alternative& alt, const predict::DemandEstimate& demand,
+                UserMetrics& out,
+                TimeBreakdown* breakdown = nullptr) const;
 };
 
 }  // namespace spectra::solver

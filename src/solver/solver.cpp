@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <utility>
 
 #include "util/assert.h"
@@ -65,7 +66,7 @@ namespace spectra::solver {
 SolveResult ExhaustiveSolver::solve(const AlternativeSpace& space,
                                     const EvalFn& eval) {
   SolveResult result;
-  for (const Alternative& alt : space.enumerate()) {
+  space.for_each([&](const Alternative& alt) {
     const double lu = eval(alt);
     ++result.evaluations;
     if (lu > result.log_utility || !result.found) {
@@ -75,7 +76,7 @@ SolveResult ExhaustiveSolver::solve(const AlternativeSpace& space,
         result.log_utility = lu;
       }
     }
-  }
+  });
   return result;
 }
 
@@ -90,21 +91,10 @@ struct Coords {
   std::vector<int> fid;
 };
 
-Alternative to_alternative(const AlternativeSpace& space, const Coords& c) {
-  Alternative a;
-  a.plan = c.plan;
-  a.server = c.server_idx >= 0 ? space.servers[c.server_idx] : -1;
-  for (std::size_t i = 0; i < space.fidelities.size(); ++i) {
-    a.fidelity[space.fidelities[i].name] = space.fidelities[i].values[c.fid[i]];
-  }
-  return a;
-}
-
 // Packs coordinates into one uint64 memo key using per-dimension bit
 // widths. A tag bit above the payload keeps every packed key non-zero
 // (PackedMemo uses 0 for empty slots) and makes keys of the same space
-// prefix-free. Spaces needing more than 63 payload bits fall back to the
-// coordinate-vector memo.
+// prefix-free.
 class KeyPacker {
  public:
   explicit KeyPacker(const AlternativeSpace& space) {
@@ -116,10 +106,10 @@ class KeyPacker {
       fid_bits_.push_back(width(dim.values.size()));
       total += fid_bits_.back();
     }
-    packable_ = total <= 63;
+    SPECTRA_REQUIRE(total <= 63,
+                    "alternative space too wide for the solver's memo: " +
+                        std::to_string(total) + " coordinate bits > 63");
   }
-
-  bool packable() const { return packable_; }
 
   std::uint64_t pack(const Coords& c) const {
     std::uint64_t key = 1;  // tag bit
@@ -141,16 +131,7 @@ class KeyPacker {
   unsigned plan_bits_ = 0;
   unsigned server_bits_ = 0;
   std::vector<unsigned> fid_bits_;
-  bool packable_ = false;
 };
-
-// Fills `key` with [plan, server_idx, fid...] for the wide-space fallback.
-void coords_key(const Coords& c, std::vector<int>& key) {
-  key.clear();
-  key.push_back(c.plan);
-  key.push_back(c.server_idx);
-  key.insert(key.end(), c.fid.begin(), c.fid.end());
-}
 
 }  // namespace
 
@@ -169,48 +150,37 @@ SolveResult HeuristicSolver::solve(const AlternativeSpace& space,
 
   SolveResult result;
   const KeyPacker packer(space);
-  if (packer.packable()) {
-    memo_.reset(config_.max_evaluations);
-  } else {
-    wide_memo_.clear();
+  memo_.reset(config_.max_evaluations);
+  // One candidate per solve, rewritten in place for every evaluation:
+  // fid_slot[i] points at its fidelity map's value for dimension i.
+  Alternative candidate;
+  std::vector<double*> fid_slot;
+  fid_slot.reserve(space.fidelities.size());
+  for (const auto& dim : space.fidelities) {
+    fid_slot.push_back(&candidate.fidelity[dim.name]);
   }
 
   auto evaluate = [&](const Coords& c) {
-    if (packer.packable()) {
-      const std::uint64_t key = packer.pack(c);
-      if (const double* hit = memo_.find(key)) {
-        ++result.memo_hits;
-        return *hit;
-      }
-      Alternative alt = to_alternative(space, c);
-      const double lu = eval(alt);
-      ++result.evaluations;
-      memo_.insert(key, lu);
-      if (lu > kInfeasible && (lu > result.log_utility || !result.found)) {
-        result.found = true;
-        result.best = std::move(alt);
-        result.log_utility = lu;
-      }
-      return lu;
-    }
-    coords_key(c, wide_key_);
-    auto it = wide_memo_.find(wide_key_);
-    if (it != wide_memo_.end()) {
+    const std::uint64_t key = packer.pack(c);
+    if (const double* hit = memo_.find(key)) {
       ++result.memo_hits;
-      return it->second;
+      return *hit;
     }
-    Alternative alt = to_alternative(space, c);
-    const double lu = eval(alt);
+    candidate.plan = c.plan;
+    candidate.server = c.server_idx >= 0 ? space.servers[c.server_idx] : -1;
+    for (std::size_t i = 0; i < fid_slot.size(); ++i) {
+      *fid_slot[i] = space.fidelities[i].values[c.fid[i]];
+    }
+    const double lu = eval(candidate);
     ++result.evaluations;
-    wide_memo_.emplace(wide_key_, lu);
+    memo_.insert(key, lu);
     if (lu > kInfeasible && (lu > result.log_utility || !result.found)) {
       result.found = true;
-      result.best = std::move(alt);
+      result.best = candidate;
       result.log_utility = lu;
     }
     return lu;
   };
-
   // Scratch coordinates reused across the whole solve: copying into them
   // reuses the fid vector's capacity, so the climb allocates nothing.
   Coords current;

@@ -10,11 +10,13 @@
 //     server, fidelity…) lattice with an evaluation budget and memoization;
 //     falls back to exhaustive search when the space is small enough that
 //     enumeration is cheaper than climbing.
+//
+// Both hand eval() one scratch Alternative per solve, rewritten in place for
+// each candidate: the reference is valid only for the duration of the call.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "solver/types.h"
@@ -105,13 +107,10 @@ class HeuristicSolver : public Solver {
   util::Rng rng_;
   HeuristicSolverConfig config_;
 
-  // Per-solve scratch, hoisted into the solver so steady-state solves are
-  // allocation-free. `memo_` serves spaces whose coordinates pack into 63
-  // bits (all of them, in practice); `wide_memo_` is the correctness
-  // fallback for wider spaces, keyed by the unpacked coordinate vector.
+  // The memo table, hoisted into the solver so its slab is reused across
+  // solves. Coordinates must pack into 63 bits (solve() requires it; every
+  // application's space needs a handful).
   detail::PackedMemo memo_;
-  std::map<std::vector<int>, double> wide_memo_;
-  std::vector<int> wide_key_;
 };
 
 }  // namespace spectra::solver

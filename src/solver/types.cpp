@@ -1,5 +1,6 @@
 #include "solver/types.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/assert.h"
@@ -30,35 +31,51 @@ std::size_t AlternativeSpace::count() const {
 }
 
 std::vector<Alternative> AlternativeSpace::enumerate() const {
+  std::vector<Alternative> out;
+  for_each([&out](const Alternative& alt) { out.push_back(alt); });
+  return out;
+}
+
+void AlternativeSpace::for_each(
+    const std::function<void(const Alternative&)>& visit) const {
   SPECTRA_REQUIRE(!plans.empty(), "alternative space needs at least one plan");
-  // Cartesian product over fidelity dimensions.
-  std::vector<std::map<std::string, double>> fids{{}};
+  Alternative alt;
+  std::vector<double*> slots;  // alt.fidelity's value per dimension
+  slots.reserve(fidelities.size());
   for (const auto& dim : fidelities) {
     SPECTRA_REQUIRE(!dim.values.empty(),
                     "fidelity dimension has no values: " + dim.name);
-    std::vector<std::map<std::string, double>> next;
-    next.reserve(fids.size() * dim.values.size());
-    for (const auto& partial : fids) {
-      for (double v : dim.values) {
-        auto f = partial;
-        f[dim.name] = v;
-        next.push_back(std::move(f));
-      }
-    }
-    fids = std::move(next);
+    slots.push_back(&alt.fidelity[dim.name]);
   }
-
-  std::vector<Alternative> out;
+  std::vector<std::size_t> at(fidelities.size());
+  // Cartesian product over the fidelity dimensions, the last one varying
+  // fastest.
+  const auto sweep = [&] {
+    std::fill(at.begin(), at.end(), 0);
+    for (;;) {
+      for (std::size_t d = 0; d < fidelities.size(); ++d) {
+        *slots[d] = fidelities[d].values[at[d]];
+      }
+      visit(alt);
+      std::size_t d = fidelities.size();
+      while (d > 0 && ++at[d - 1] == fidelities[d - 1].values.size()) {
+        at[--d] = 0;
+      }
+      if (d == 0) return;
+    }
+  };
   for (int p = 0; p < static_cast<int>(plans.size()); ++p) {
+    alt.plan = p;
     if (plans[p].uses_remote) {
       for (MachineId s : servers) {
-        for (const auto& f : fids) out.push_back(Alternative{p, s, f});
+        alt.server = s;
+        sweep();
       }
     } else {
-      for (const auto& f : fids) out.push_back(Alternative{p, -1, f});
+      alt.server = -1;
+      sweep();
     }
   }
-  return out;
 }
 
 }  // namespace spectra::solver

@@ -64,6 +64,11 @@ struct AlternativeSpace {
   // with remote plans but no servers yields only the local plans.
   std::vector<Alternative> enumerate() const;
 
+  // Calls visit() on every alternative in enumerate() order, rewriting one
+  // Alternative in place, so a visit allocates nothing. The reference is
+  // valid only during the call.
+  void for_each(const std::function<void(const Alternative&)>& visit) const;
+
   // Size of enumerate() without materializing it — the heuristic solver
   // consults this on every solve to pick exhaustive vs climbing search.
   std::size_t count() const;

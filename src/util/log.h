@@ -51,7 +51,8 @@ class Logger {
   std::ostream* sink_ = nullptr;
 };
 
-// Streaming helper: SPECTRA_LOG_INFO("solver") << "picked " << alt;
+// Streaming helper behind the SPECTRA_LOG_* macros, which construct it only
+// when the level is enabled: SPECTRA_LOG_INFO("solver") << "picked " << alt;
 class LogLine {
  public:
   LogLine(LogLevel level, std::string component)
@@ -63,7 +64,7 @@ class LogLine {
   }
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (Logger::instance().enabled(level_)) os_ << v;
+    os_ << v;
     return *this;
   }
 
@@ -75,11 +76,19 @@ class LogLine {
 
 }  // namespace spectra::util
 
+// A disabled line builds no stream and evaluates none of its `<<`
+// arguments. The empty-then/else form keeps the macro one statement, so an
+// `else` after it still binds to the caller's own `if`.
+#define SPECTRA_LOG_AT(level, component)                      \
+  if (!::spectra::util::Logger::instance().enabled(level)) { \
+  } else                                                      \
+    ::spectra::util::LogLine((level), (component))
+
 #define SPECTRA_LOG_ERROR(component) \
-  ::spectra::util::LogLine(::spectra::util::LogLevel::kError, (component))
+  SPECTRA_LOG_AT(::spectra::util::LogLevel::kError, (component))
 #define SPECTRA_LOG_WARN(component) \
-  ::spectra::util::LogLine(::spectra::util::LogLevel::kWarn, (component))
+  SPECTRA_LOG_AT(::spectra::util::LogLevel::kWarn, (component))
 #define SPECTRA_LOG_INFO(component) \
-  ::spectra::util::LogLine(::spectra::util::LogLevel::kInfo, (component))
+  SPECTRA_LOG_AT(::spectra::util::LogLevel::kInfo, (component))
 #define SPECTRA_LOG_DEBUG(component) \
-  ::spectra::util::LogLine(::spectra::util::LogLevel::kDebug, (component))
+  SPECTRA_LOG_AT(::spectra::util::LogLevel::kDebug, (component))

@@ -261,7 +261,8 @@ TEST(PanglossTest, TimeScalesWithSentenceLength) {
 TEST(PanglossTest, FeatureMappingEncodesPlacement) {
   const auto alt = PanglossApp::alternative(
       1 << PanglossApp::kEbmt, true, true, false, kServerA);
-  const auto f = PanglossApp::features(alt, {{"words", 12.0}}, "");
+  predict::FeatureVector f;
+  PanglossApp::features(alt, {{"words", 12.0}}, f);
   EXPECT_DOUBLE_EQ(f.continuous.at("ebmt_remote_w"), 12.0);
   EXPECT_DOUBLE_EQ(f.continuous.at("ebmt_remote_i"), 1.0);
   EXPECT_DOUBLE_EQ(f.continuous.at("gloss_local_w"), 12.0);
@@ -279,8 +280,9 @@ TEST(PanglossTest, EquivalentAlternativesShareFeatures) {
   raw.plan = 0b0001;  // ebmt bit set but ebmt disabled
   raw.server = kServerA;
   raw.fidelity = {{"ebmt", 0.0}, {"gloss", 1.0}, {"dict", 1.0}};
-  const auto fa = PanglossApp::features(a, {{"words", 5.0}}, "");
-  const auto fraw = PanglossApp::features(raw, {{"words", 5.0}}, "");
+  predict::FeatureVector fa, fraw;
+  PanglossApp::features(a, {{"words", 5.0}}, fa);
+  PanglossApp::features(raw, {{"words", 5.0}}, fraw);
   EXPECT_EQ(fa.continuous, fraw.continuous);
   EXPECT_EQ(fa.discrete, fraw.discrete);
 }

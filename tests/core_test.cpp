@@ -3,11 +3,15 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "apps/pangloss.h"
 #include "core/client.h"
 #include "core/consistency.h"
 #include "core/server.h"
 #include "core/server_db.h"
 #include "core/service.h"
+#include "obs/memaudit.h"
+#include "scenario/experiment.h"
+#include "scenario/world.h"
 #include "util/assert.h"
 #include "util/units.h"
 
@@ -650,6 +654,69 @@ TEST(ConsistencyManagerTest, LowLikelihoodSkipsReintegration) {
       {predict::FilePrediction{"data/input", 50_KB, 0.001}});
   EXPECT_DOUBLE_EQ(spent, 0.0);
   EXPECT_TRUE(rig.client_coda->has_dirty_files());
+}
+
+// ---------------------------------------------------- decision allocations
+
+// Heap allocations and solver evaluations per begin_fidelity_op on a
+// trained Pangloss world whose solver may evaluate up to `budget`
+// candidates, averaged over `measured` decisions after `warmup` cycles.
+struct DecisionCost {
+  double allocs = 0.0;
+  double evaluations = 0.0;
+};
+
+DecisionCost pangloss_decision_cost(std::size_t budget, int warmup,
+                                    int measured) {
+  scenario::PanglossExperiment::Config cfg;
+  cfg.seed = 1;
+  cfg.spectra_overrides = [budget](SpectraClientConfig& c) {
+    c.solver.max_evaluations = budget;
+  };
+  const scenario::PanglossExperiment experiment(cfg);
+  auto world = experiment.trained_world();
+  SpectraClient& spectra = world->spectra();
+  const apps::PanglossApp& app = world->pangloss();
+  constexpr int kWords[] = {6, 10, 14, 38, 44};  // the paper's sentences
+  DecisionCost cost;
+  for (int i = 0; i < warmup + measured; ++i) {
+    const int words = kWords[i % 5];
+    const std::map<std::string, double> params{
+        {"words", static_cast<double>(words)}};
+    const unsigned long long before = obs::memaudit_total().allocs;
+    const OperationChoice choice =
+        spectra.begin_fidelity_op(apps::PanglossApp::kOperation, params);
+    const unsigned long long after = obs::memaudit_total().allocs;
+    EXPECT_TRUE(choice.from_model);
+    if (i >= warmup) {
+      cost.allocs += static_cast<double>(after - before);
+      cost.evaluations += static_cast<double>(choice.evaluations);
+    }
+    app.execute(spectra, words);
+    spectra.end_fidelity_op();
+  }
+  cost.allocs /= measured;
+  cost.evaluations /= measured;
+  return cost;
+}
+
+// The steady-state contract of DESIGN.md §10: evaluating a candidate (the
+// solver's scratch alternative, the feature hook, the per-solve demand
+// cache, the predictors, the estimator and the utility) allocates nothing
+// while the client has no dirty files, as in Pangloss. Two worlds that differ only in the evaluation budget pay the same fixed
+// per-decision allocations, so their difference is the per-candidate cost.
+TEST(DecisionAllocationTest, ExtraEvaluationsAllocateNothing) {
+  if (!obs::memaudit_enabled()) {
+    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+  }
+  const DecisionCost wide = pangloss_decision_cost(192, 100, 100);
+  const DecisionCost narrow = pangloss_decision_cost(64, 100, 100);
+  const double extra_evaluations = wide.evaluations - narrow.evaluations;
+  const double extra_allocs = wide.allocs - narrow.allocs;
+  ASSERT_GT(extra_evaluations, 30.0) << "budgets did not change the search";
+  EXPECT_LT(extra_allocs, extra_evaluations / 10.0)
+      << wide.allocs << " allocations/decision at " << wide.evaluations
+      << " evaluations vs " << narrow.allocs << " at " << narrow.evaluations;
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // mechanical sympathy: they must not move a single bit of observable
 // output. This suite locks that down against committed golden files:
 //
-//   * a seeded speech run and a seeded latex run, traced (--trace-style
+//   * a seeded speech, latex and pangloss run, traced (--trace-style
 //     JSONL decision explain records) and metered (metrics CSV), compared
 //     byte-for-byte against tests/golden/*.golden;
 //   * the same workload fanned out through the BatchRunner with --jobs=8,
@@ -25,6 +25,7 @@
 
 #include "apps/janus.h"
 #include "apps/latex.h"
+#include "apps/pangloss.h"
 #include "obs/obs.h"
 #include "scenario/batch.h"
 #include "scenario/experiment.h"
@@ -35,6 +36,7 @@ namespace {
 
 using scenario::BatchRunner;
 using scenario::LatexExperiment;
+using scenario::PanglossExperiment;
 using scenario::SpeechExperiment;
 
 #ifndef SPECTRA_GOLDEN_DIR
@@ -161,6 +163,45 @@ TEST(GoldenTraceTest, LatexDecisionTraceAndMetricsAreByteIdentical) {
   EXPECT_FALSE(trace.empty());
   expect_golden("latex_trace.jsonl.golden", trace);
   expect_golden("latex_metrics.csv.golden", csv);
+}
+
+// ------------------------------------------------------------- pangloss
+
+// The paper's five Pangloss test sentences (§4.3), each decided over the
+// largest space (~97 alternatives x 2 servers) by the heuristic solver.
+// Pangloss is the one application with its own feature hook, so this locks
+// hook -> per-solve demand cache -> estimator -> utility: the decision
+// explain records carry plan, fidelity, per-term log-utility and predicted
+// time for every sentence.
+std::pair<std::string, std::string> pangloss_run(std::uint64_t seed,
+                                                 obs::Observability* obs) {
+  std::ostringstream trace;
+  obs->trace_to(trace);
+  PanglossExperiment::Config cfg;
+  cfg.seed = seed;
+  cfg.obs = obs;
+  PanglossExperiment exp(cfg);
+  auto world = exp.trained_world(obs);
+  for (const int words : {6, 10, 14, 38, 44}) {
+    const auto choice = world->spectra().begin_fidelity_op(
+        apps::PanglossApp::kOperation,
+        {{"words", static_cast<double>(words)}});
+    EXPECT_TRUE(choice.ok);
+    EXPECT_TRUE(choice.from_model);
+    world->pangloss().execute(world->spectra(), words);
+    world->spectra().end_fidelity_op();
+  }
+  std::ostringstream csv;
+  obs->metrics().export_csv(csv);
+  return {trace.str(), drop_wall_rows(csv.str())};
+}
+
+TEST(GoldenTraceTest, PanglossDecisionTraceAndMetricsAreByteIdentical) {
+  obs::Observability obs;
+  const auto [trace, csv] = pangloss_run(3, &obs);
+  EXPECT_NE(trace.find("\"lu_fidelity\""), std::string::npos);
+  expect_golden("pangloss_trace.jsonl.golden", trace);
+  expect_golden("pangloss_metrics.csv.golden", csv);
 }
 
 // ------------------------------------------------- figure CSV (batch runs)

@@ -291,7 +291,8 @@ TEST(FilePredictorTest, AlwaysAccessedFileHasLikelihoodOne) {
   FileAccessPredictor p;
   for (int i = 0; i < 5; ++i) p.add(fv(0, 1, 1), {acc("lm", 1000)});
   EXPECT_NEAR(p.likelihood(fv(0, 1, 1), "lm"), 1.0, 1e-9);
-  const auto preds = p.predict(fv(0, 1, 1));
+  std::vector<FilePrediction> preds;
+  p.predict(fv(0, 1, 1), preds);
   ASSERT_EQ(preds.size(), 1u);
   EXPECT_EQ(preds[0].path, "lm");
   EXPECT_DOUBLE_EQ(preds[0].size, 1000.0);
@@ -302,7 +303,9 @@ TEST(FilePredictorTest, NeverAccessedFileDecaysTowardZero) {
   p.add(fv(0, 1, 1), {acc("lm", 1000)});
   for (int i = 0; i < 45; ++i) p.add(fv(0, 1, 1), {});
   EXPECT_LT(p.likelihood(fv(0, 1, 1), "lm"), 0.01);
-  EXPECT_TRUE(p.predict(fv(0, 1, 1)).empty());  // below min likelihood
+  std::vector<FilePrediction> preds{{"stale", 1.0, 1.0}};
+  p.predict(fv(0, 1, 1), preds);
+  EXPECT_TRUE(preds.empty());  // below min likelihood; `preds` overwritten
 }
 
 TEST(FilePredictorTest, IntermittentAccessGivesFractionalLikelihood) {
@@ -355,7 +358,8 @@ TEST(FilePredictorTest, SizeTracksLatestObservation) {
   FileAccessPredictor p;
   p.add(fv(0, 1, 1), {acc("f", 10)});
   p.add(fv(0, 1, 1), {acc("f", 50)});
-  const auto preds = p.predict(fv(0, 1, 1));
+  std::vector<FilePrediction> preds;
+  p.predict(fv(0, 1, 1), preds);
   ASSERT_EQ(preds.size(), 1u);
   EXPECT_DOUBLE_EQ(preds[0].size, 50.0);
 }
@@ -469,7 +473,8 @@ TEST(OperationModelTest, ObserveAndPredictAllMetrics) {
   u.energy = 5.0;
   u.local_file_accesses = {acc("f", 10)};
   for (int i = 0; i < 4; ++i) m.observe(fv(0, 0, 1), u);
-  const auto e = m.predict(fv(0, 0, 1));
+  DemandEstimate e;
+  m.predict(fv(0, 0, 1), e);
   EXPECT_NEAR(e.local_cycles, 1e6, 1e4);
   EXPECT_NEAR(e.remote_cycles, 2e6, 2e4);
   EXPECT_NEAR(e.bytes_sent, 100, 1);
@@ -491,14 +496,23 @@ TEST(OperationModelTest, InvalidEnergySamplesSkipped) {
     m.observe(fv(0, 0, 1), good);
     m.observe(fv(0, 0, 1), bad);
   }
-  EXPECT_NEAR(m.predict(fv(0, 0, 1)).energy, 5.0, 0.2);
+  DemandEstimate e;
+  m.predict(fv(0, 0, 1), e);
+  EXPECT_NEAR(e.energy, 5.0, 0.2);
 }
 
 TEST(OperationModelTest, UntrainedPredictsZeros) {
   OperationModel m;
   EXPECT_FALSE(m.trained());
-  const auto e = m.predict(fv(0, 0, 1));
+  // predict() overwrites every field of a reused estimate.
+  DemandEstimate e;
+  e.local_cycles = 1.0;
+  e.energy = 2.0;
+  e.has_energy = true;
+  e.files = {{"stale", 10.0, 1.0}};
+  m.predict(fv(0, 0, 1), e);
   EXPECT_DOUBLE_EQ(e.local_cycles, 0.0);
+  EXPECT_DOUBLE_EQ(e.energy, 0.0);
   EXPECT_FALSE(e.has_energy);
   EXPECT_TRUE(e.files.empty());
 }
@@ -511,8 +525,10 @@ TEST(OperationModelTest, ReplayEquivalentToObserve) {
     a.observe(fv(0, 0, 1), u);
     b.replay(UsageRecord::from_usage("op", fv(0, 0, 1), u));
   }
-  EXPECT_DOUBLE_EQ(a.predict(fv(0, 0, 1)).local_cycles,
-                   b.predict(fv(0, 0, 1)).local_cycles);
+  DemandEstimate ea, eb;
+  a.predict(fv(0, 0, 1), ea);
+  b.predict(fv(0, 0, 1), eb);
+  EXPECT_DOUBLE_EQ(ea.local_cycles, eb.local_cycles);
   EXPECT_EQ(a.observations(), b.observations());
 }
 

@@ -152,8 +152,8 @@ TEST_P(EstimatorMonotoneTest, MonotoneInDemand) {
   base.files = {{"missing", rng.uniform(1e3, 1e6), rng.uniform(0.0, 1.0)}};
 
   solver::ExecutionEstimator est;
-  const auto t0 = est.estimate(in, space, remote, base);
-  ASSERT_TRUE(t0.has_value());
+  solver::UserMetrics t0;
+  ASSERT_TRUE(est.estimate(in, space, remote, base, t0));
   for (int i = 0; i < 10; ++i) {
     predict::DemandEstimate more = base;
     more.local_cycles += rng.uniform(0.0, 1e9);
@@ -163,9 +163,9 @@ TEST_P(EstimatorMonotoneTest, MonotoneInDemand) {
     more.rpcs += rng.uniform(0.0, 5.0);
     more.files.push_back(
         {"missing2", rng.uniform(1e3, 1e6), rng.uniform(0.0, 1.0)});
-    const auto t1 = est.estimate(in, space, remote, more);
-    ASSERT_TRUE(t1.has_value());
-    EXPECT_GE(t1->time + 1e-12, t0->time);
+    solver::UserMetrics t1;
+    ASSERT_TRUE(est.estimate(in, space, remote, more, t1));
+    EXPECT_GE(t1.time + 1e-12, t0.time);
   }
 }
 

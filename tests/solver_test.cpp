@@ -256,9 +256,9 @@ TEST(EstimatorTest, LocalPlanTimeIsCpuOnly) {
   d.local_cycles = 400e6;
   ExecutionEstimator est;
   TimeBreakdown tb;
-  const auto m = est.estimate(in, estimator_space(), local_alt(), d, &tb);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_DOUBLE_EQ(m->time, 2.0);
+  UserMetrics m;
+  ASSERT_TRUE(est.estimate(in, estimator_space(), local_alt(), d, m, &tb));
+  EXPECT_DOUBLE_EQ(m.time, 2.0);
   EXPECT_DOUBLE_EQ(tb.local_cpu, 2.0);
   EXPECT_DOUBLE_EQ(tb.network, 0.0);
 }
@@ -275,12 +275,12 @@ TEST(EstimatorTest, RemotePlanSumsAllComponents) {
   d.rpcs = 2.0;                // 2 x 2 x 0.01 = 0.04 s
   ExecutionEstimator est;
   TimeBreakdown tb;
-  const auto m = est.estimate(in, estimator_space(), remote_alt(), d, &tb);
-  ASSERT_TRUE(m.has_value());
+  UserMetrics m;
+  ASSERT_TRUE(est.estimate(in, estimator_space(), remote_alt(), d, m, &tb));
   EXPECT_NEAR(tb.local_cpu, 1.0, 1e-9);
   EXPECT_NEAR(tb.remote_cpu, 1.0, 1e-9);
   EXPECT_NEAR(tb.network, 1.04, 1e-9);
-  EXPECT_NEAR(m->time, 3.04, 1e-9);
+  EXPECT_NEAR(m.time, 3.04, 1e-9);
 }
 
 TEST(EstimatorTest, CacheMissChargedAgainstExecutingMachine) {
@@ -291,8 +291,9 @@ TEST(EstimatorTest, CacheMissChargedAgainstExecutingMachine) {
   d.files = {{"missing", 100000.0, 1.0}};  // 100 KB, certain access
   ExecutionEstimator est;
   TimeBreakdown tb_local, tb_remote;
-  est.estimate(in, estimator_space(), local_alt(), d, &tb_local);
-  est.estimate(in, estimator_space(), remote_alt(), d, &tb_remote);
+  UserMetrics m;
+  est.estimate(in, estimator_space(), local_alt(), d, m, &tb_local);
+  est.estimate(in, estimator_space(), remote_alt(), d, m, &tb_remote);
   EXPECT_NEAR(tb_local.cache_miss, 2.0, 1e-9);   // 100 KB at 50 KB/s
   EXPECT_NEAR(tb_remote.cache_miss, 0.5, 1e-9);  // 100 KB at 200 KB/s
 }
@@ -305,7 +306,8 @@ TEST(EstimatorTest, CachedFilesCostNothing) {
   d.files = {{"cached_local", 100000.0, 1.0}};
   ExecutionEstimator est;
   TimeBreakdown tb;
-  est.estimate(in, estimator_space(), local_alt(), d, &tb);
+  UserMetrics m;
+  est.estimate(in, estimator_space(), local_alt(), d, m, &tb);
   EXPECT_DOUBLE_EQ(tb.cache_miss, 0.0);
 }
 
@@ -317,7 +319,8 @@ TEST(EstimatorTest, LikelihoodScalesExpectedMissCost) {
   d.files = {{"missing", 100000.0, 0.25}};
   ExecutionEstimator est;
   TimeBreakdown tb;
-  est.estimate(in, estimator_space(), local_alt(), d, &tb);
+  UserMetrics m;
+  est.estimate(in, estimator_space(), local_alt(), d, m, &tb);
   EXPECT_NEAR(tb.cache_miss, 0.5, 1e-9);  // 25% of 2 s
 }
 
@@ -331,10 +334,11 @@ TEST(EstimatorTest, ConsistencyCostForDirtyPredictedFiles) {
   d.files = {{"doc.tex", 70000.0, 0.9}};
   ExecutionEstimator est;
   TimeBreakdown tb;
-  est.estimate(in, estimator_space(), remote_alt(), d, &tb);
+  UserMetrics m;
+  est.estimate(in, estimator_space(), remote_alt(), d, m, &tb);
   EXPECT_NEAR(tb.consistency, 2.0, 1e-9);
   // Local execution needs no reintegration.
-  est.estimate(in, estimator_space(), local_alt(), d, &tb);
+  est.estimate(in, estimator_space(), local_alt(), d, m, &tb);
   EXPECT_DOUBLE_EQ(tb.consistency, 0.0);
 }
 
@@ -350,7 +354,8 @@ TEST(EstimatorTest, ConsistencyIsVolumeGranular) {
   d.files = {{"a", 50000.0, 1.0}};
   ExecutionEstimator est;
   TimeBreakdown tb;
-  est.estimate(in, estimator_space(), remote_alt(), d, &tb);
+  UserMetrics m;
+  est.estimate(in, estimator_space(), remote_alt(), d, m, &tb);
   EXPECT_NEAR(tb.consistency, 2.0, 1e-9);  // (50+20) KB at 35 KB/s
 }
 
@@ -365,7 +370,8 @@ TEST(EstimatorTest, LowLikelihoodDirtyFileSkipsReintegration) {
   d.files = {{"a", 50000.0, 0.001}};  // effectively never read
   ExecutionEstimator est;
   TimeBreakdown tb;
-  est.estimate(in, estimator_space(), remote_alt(), d, &tb);
+  UserMetrics m;
+  est.estimate(in, estimator_space(), remote_alt(), d, m, &tb);
   EXPECT_DOUBLE_EQ(tb.consistency, 0.0);
 }
 
@@ -375,8 +381,8 @@ TEST(EstimatorTest, UnreachableServerInfeasible) {
   EstimatorInputs in;
   in.snapshot = &snap;
   ExecutionEstimator est;
-  EXPECT_FALSE(est.estimate(in, estimator_space(), remote_alt(), {})
-                   .has_value());
+  UserMetrics m;
+  EXPECT_FALSE(est.estimate(in, estimator_space(), remote_alt(), {}, m));
 }
 
 TEST(EstimatorTest, UnpolledServerInfeasible) {
@@ -385,8 +391,8 @@ TEST(EstimatorTest, UnpolledServerInfeasible) {
   EstimatorInputs in;
   in.snapshot = &snap;
   ExecutionEstimator est;
-  EXPECT_FALSE(est.estimate(in, estimator_space(), remote_alt(), {})
-                   .has_value());
+  UserMetrics m;
+  EXPECT_FALSE(est.estimate(in, estimator_space(), remote_alt(), {}, m));
 }
 
 TEST(EstimatorTest, UnknownServerInfeasible) {
@@ -396,7 +402,8 @@ TEST(EstimatorTest, UnknownServerInfeasible) {
   Alternative a = remote_alt();
   a.server = 42;
   ExecutionEstimator est;
-  EXPECT_FALSE(est.estimate(in, estimator_space(), a, {}).has_value());
+  UserMetrics m;
+  EXPECT_FALSE(est.estimate(in, estimator_space(), a, {}, m));
 }
 
 TEST(EstimatorTest, EnergyPassedThrough) {
@@ -407,10 +414,10 @@ TEST(EstimatorTest, EnergyPassedThrough) {
   d.energy = 7.5;
   d.has_energy = true;
   ExecutionEstimator est;
-  const auto m = est.estimate(in, estimator_space(), local_alt(), d);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_DOUBLE_EQ(m->energy, 7.5);
-  EXPECT_TRUE(m->has_energy);
+  UserMetrics m;
+  ASSERT_TRUE(est.estimate(in, estimator_space(), local_alt(), d, m));
+  EXPECT_DOUBLE_EQ(m.energy, 7.5);
+  EXPECT_TRUE(m.has_energy);
 }
 
 TEST(EstimatorTest, FidelityCopiedFromAlternative) {
@@ -422,9 +429,13 @@ TEST(EstimatorTest, FidelityCopiedFromAlternative) {
   Alternative a = local_alt();
   a.fidelity["vocab"] = 1.0;
   ExecutionEstimator est;
-  const auto m = est.estimate(in, space, a, {});
-  ASSERT_TRUE(m.has_value());
-  EXPECT_DOUBLE_EQ(m->fidelity.at("vocab"), 1.0);
+  // A reused metrics object keeps nothing from the previous candidate.
+  UserMetrics m;
+  m.fidelity["stale"] = 5.0;
+  m.has_energy = true;
+  ASSERT_TRUE(est.estimate(in, space, a, {}, m));
+  EXPECT_EQ(m.fidelity, a.fidelity);
+  EXPECT_FALSE(m.has_energy);
 }
 
 TEST(EstimatorTest, PlanIndexValidated) {
@@ -434,7 +445,8 @@ TEST(EstimatorTest, PlanIndexValidated) {
   Alternative a;
   a.plan = 99;
   ExecutionEstimator est;
-  EXPECT_THROW(est.estimate(in, estimator_space(), a, {}),
+  UserMetrics m;
+  EXPECT_THROW(est.estimate(in, estimator_space(), a, {}, m),
                util::ContractError);
 }
 
@@ -752,6 +764,32 @@ TEST(AlternativeSpaceTest, CountMatchesEnumerateSize) {
   no_servers.plans = {{"local", false}, {"remote", true}};
   no_servers.fidelities = {{"f", {0.0, 0.5, 1.0}}};
   EXPECT_EQ(no_servers.count(), no_servers.enumerate().size());
+}
+
+// The solver's memo packs a candidate's coordinates into 63 bits; a space
+// needing more is refused up front (no application comes close: Pangloss,
+// the largest, needs 9 bits).
+TEST(HeuristicSolverTest, RejectsSpaceTooWideToPack) {
+  AlternativeSpace wide;
+  wide.plans = {{"local", false}};
+  for (int i = 0; i < 32; ++i) {  // 32 dimensions x 2 bits = 64 bits
+    wide.fidelities.push_back({"f" + std::to_string(i), {0.0, 0.5, 1.0}});
+  }
+  HeuristicSolver solver{util::Rng(1), HeuristicSolverConfig{}};
+  int evaluations = 0;
+  EXPECT_THROW(solver.solve(wide,
+                            [&](const Alternative&) {
+                              ++evaluations;
+                              return 0.0;
+                            }),
+               util::ContractError);
+  EXPECT_EQ(evaluations, 0);
+
+  wide.fidelities.pop_back();  // 62 bits: packs, and solves
+  const auto result = solver.solve(wide, [](const Alternative& a) {
+    return a.fidelity.at("f0");
+  });
+  EXPECT_TRUE(result.found);
 }
 
 TEST(HeuristicSolverTest, ConfigValidation) {

@@ -5,10 +5,13 @@
 #include <cstdint>
 #include <limits>
 #include <memory_resource>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/arena.h"
 #include "util/assert.h"
+#include "util/log.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -414,6 +417,39 @@ TEST(ArenaTest, BacksPmrContainersAsAMemoryResource) {
   for (int i = 0; i < 100; ++i) v.push_back(i);
   for (int i = 0; i < 100; ++i) ASSERT_EQ(v[i], i);
   EXPECT_GE(arena.used(), 100 * sizeof(int));
+}
+
+// ------------------------------------------------------------------ logger
+
+// A line below the current level must cost a level check only: no stream is
+// built and no `<<` argument runs (the decision path logs describe() of its
+// choice on every decision).
+TEST(LoggerTest, DisabledLineDoesNotEvaluateItsArguments) {
+  Logger& logger = Logger::instance();
+  const LogLevel saved = logger.level();
+  std::ostringstream sink;
+  logger.set_sink(&sink);
+  logger.set_level(LogLevel::kWarn);
+  int evaluated = 0;
+  const auto expensive = [&evaluated] {
+    ++evaluated;
+    return std::string("rendered");
+  };
+  SPECTRA_LOG_INFO("test") << "info " << expensive();
+  SPECTRA_LOG_DEBUG("test") << "debug " << expensive();
+  EXPECT_EQ(evaluated, 0);
+  // The macro is a single statement: this else belongs to the if.
+  bool took_else = false;
+  if (evaluated != 0)
+    SPECTRA_LOG_DEBUG("test") << expensive();
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+  SPECTRA_LOG_WARN("test") << "warn " << expensive();
+  logger.set_level(saved);
+  logger.set_sink(nullptr);
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(sink.str(), "[spectra:test WARN] warn rendered\n");
 }
 
 }  // namespace
