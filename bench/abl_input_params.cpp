@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "pangloss_common.h"
 #include "scenario/experiment.h"
 #include "solver/estimator.h"
 

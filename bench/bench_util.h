@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "scenario/batch.h"
+#include "scenario/sweep.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -22,12 +23,6 @@ inline std::size_t jobs_from_args(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) requested = std::atol(arg.c_str() + 7);
   }
-  if (requested < 0) {
-    if (const char* env = std::getenv("SPECTRA_JOBS")) {
-      requested = std::atol(env);
-    }
-  }
-  if (requested < 0) return 1;
   return scenario::resolve_jobs(requested);
 }
 
@@ -41,23 +36,36 @@ inline int trial_count() {
   return 5;
 }
 
+// Seeds of the figure trials: 1000, 1017, 1034, ...
 inline std::vector<std::uint64_t> trial_seeds() {
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < trial_count(); ++i) {
-    seeds.push_back(static_cast<std::uint64_t>(1000 + 17 * i));
-  }
-  return seeds;
+  return scenario::trial_seeds(1000, static_cast<std::size_t>(trial_count()));
 }
 
-struct Aggregate {
-  util::OnlineStats stats;
-  bool any_infeasible = false;
+// The paper's five Pangloss test sentences (§4.3), in words: the three
+// smallest should keep all engines, the two largest should drop the
+// glossary.
+inline const std::vector<int>& pangloss_test_sentences() {
+  static const std::vector<int> kWords = {6, 10, 14, 38, 44};
+  return kWords;
+}
 
-  std::string cell(int precision = 2) const {
-    if (any_infeasible || stats.count() == 0) return "unavailable";
-    return util::Table::num_ci(stats.mean(),
-                               stats.confidence_halfwidth(0.90), precision);
-  }
-};
+// The figure tables mark Spectra's modal choice with this.
+inline constexpr const char* kFigureMarker = "<-- S (Spectra's choice)";
+
+// One figure cell: sweep over trial_seeds(), with `configure` setting the
+// cell's own fields of an otherwise default Experiment::Config.
+template <typename Experiment, typename Configure>
+scenario::SweepResult figure_sweep(scenario::BatchRunner& batch,
+                                   Configure&& configure) {
+  return scenario::sweep<Experiment>(
+      batch, nullptr, trial_seeds(),
+      [&configure](std::uint64_t seed, obs::Observability* trial_obs) {
+        typename Experiment::Config cfg;
+        configure(cfg);
+        cfg.seed = seed;
+        cfg.obs = trial_obs;
+        return cfg;
+      });
+}
 
 }  // namespace spectra::bench

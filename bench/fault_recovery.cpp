@@ -33,9 +33,9 @@ namespace {
 using apps::LatexApp;
 
 struct PolicyResult {
-  bench::Aggregate recovery;   // elapsed of the interrupted op
-  bench::Aggregate follow_up;  // elapsed of the next op after the crash
-  int local_fallbacks = 0;     // interrupted ops that collapsed to local
+  Aggregate recovery;   // elapsed of the interrupted op
+  Aggregate follow_up;  // elapsed of the next op after the crash
+  int local_fallbacks = 0;  // interrupted ops that collapsed to local
 };
 
 struct Trial {

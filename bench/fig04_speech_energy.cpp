@@ -6,14 +6,21 @@
 // than the distributed plans (software-FP search on the SA-1100), and
 // remote costs less than hybrid because hybrid keeps the front-end/prescan
 // computation on the client.
-#include "speech_common.h"
+#include "bench_util.h"
+
+using namespace spectra;            // NOLINT
+using namespace spectra::scenario;  // NOLINT
 
 int main(int argc, char** argv) {
-  spectra::scenario::BatchRunner batch(
-      spectra::bench::jobs_from_args(argc, argv));
-  spectra::bench::run_speech_figure(
-      batch, "Figure 4: Speech recognition energy usage (Joules)",
-      [](const spectra::scenario::MeasuredRun& r) { return r.energy; },
-      "energy (J)");
+  BatchRunner batch(bench::jobs_from_args(argc, argv));
+  std::cout << "Figure 4: Speech recognition energy usage (Joules)\n\n";
+  for (const auto sc : kSpeechScenarios) {
+    const SweepResult result = bench::figure_sweep<SpeechExperiment>(
+        batch, [sc](SpeechExperiment::Config& cfg) { cfg.scenario = sc; });
+    std::cout << alternatives_table(result, "Scenario: " + name(sc),
+                                    {{"energy (J)", run_energy}},
+                                    bench::kFigureMarker)
+              << '\n';
+  }
   return 0;
 }

@@ -6,19 +6,30 @@
 // reintegration cost is common to all remote plans), so Spectra picks B
 // even though local execution would be faster. For the large document B
 // saves both time and energy.
-#include "latex_common.h"
+#include "bench_util.h"
+
+using namespace spectra;            // NOLINT
+using namespace spectra::scenario;  // NOLINT
 
 int main(int argc, char** argv) {
-  spectra::scenario::BatchRunner batch(
-      spectra::bench::jobs_from_args(argc, argv));
-  const auto energy = [](const spectra::scenario::MeasuredRun& r) {
-    return r.energy;
-  };
-  spectra::bench::run_latex_figure(
-      batch, "Figure 7(a): Small document energy usage (Joules)", "small",
-      energy, "energy (J)");
-  spectra::bench::run_latex_figure(
-      batch, "Figure 7(b): Large document energy usage (Joules)", "large",
-      energy, "energy (J)");
+  BatchRunner batch(bench::jobs_from_args(argc, argv));
+  const std::pair<const char*, std::string> parts[] = {
+      {"Figure 7(a): Small document energy usage (Joules)", "small"},
+      {"Figure 7(b): Large document energy usage (Joules)", "large"}};
+  for (const auto& [title, doc] : parts) {
+    std::cout << title << "\n\n";
+    for (const auto sc : kLatexScenarios) {
+      const SweepResult result = bench::figure_sweep<LatexExperiment>(
+          batch, [&](LatexExperiment::Config& cfg) {
+            cfg.scenario = sc;
+            cfg.doc = doc;
+          });
+      std::cout << alternatives_table(
+                       result, "Scenario: " + name(sc) + " — " + doc +
+                                   " document",
+                       {{"energy (J)", run_energy}}, bench::kFigureMarker)
+                << '\n';
+    }
+  }
   return 0;
 }

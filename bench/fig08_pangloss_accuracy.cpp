@@ -4,7 +4,7 @@
 // location and fidelity is measured; alternatives are ranked by the utility
 // they achieved, and the bar shows the percentile into which Spectra's
 // chosen alternative falls (99 = the best possible choice).
-#include "pangloss_common.h"
+#include "bench_util.h"
 
 using namespace spectra;           // NOLINT
 using namespace spectra::scenario; // NOLINT
@@ -17,22 +17,18 @@ int main(int argc, char** argv) {
             << PanglossExperiment::alternatives().size()
             << " alternatives)\n\n";
 
-  for (const auto sc : {PanglossScenario::kBaseline,
-                        PanglossScenario::kFileCache,
-                        PanglossScenario::kCpu}) {
+  for (const auto sc : kPanglossScenarios) {
     util::Table table("Scenario: " + name(sc));
     table.set_header({"sentence (words)", "percentile", "Spectra chose"});
     for (const int words : bench::pangloss_test_sentences()) {
-      const auto cell = bench::run_pangloss_cell(batch, sc, words);
-      std::string mode;
-      int best_count = 0;
-      for (const auto& [label, count] : cell.chosen) {
-        if (count > best_count) {
-          mode = label;
-          best_count = count;
-        }
-      }
-      table.add_row({std::to_string(words), cell.percentile.cell(1), mode});
+      const SweepResult result = bench::figure_sweep<PanglossExperiment>(
+          batch, [&](PanglossExperiment::Config& cfg) {
+            cfg.scenario = sc;
+            cfg.test_words = words;
+          });
+      table.add_row({std::to_string(words),
+                     pangloss_scores(result).percentile.cell(1),
+                     modal_choice(result)});
     }
     std::cout << table.to_string() << '\n';
   }

@@ -4,7 +4,7 @@
 // compared against an oracle with no overhead that always picks the
 // best-measured alternative. The paper reports an average of 91% of the
 // best utility across scenarios.
-#include "pangloss_common.h"
+#include "bench_util.h"
 
 using namespace spectra;           // NOLINT
 using namespace spectra::scenario; // NOLINT
@@ -15,16 +15,18 @@ int main(int argc, char** argv) {
             << "(Spectra's achieved utility / zero-overhead oracle's best)\n\n";
 
   util::OnlineStats overall;
-  for (const auto sc : {PanglossScenario::kBaseline,
-                        PanglossScenario::kFileCache,
-                        PanglossScenario::kCpu}) {
+  for (const auto sc : kPanglossScenarios) {
     util::Table table("Scenario: " + name(sc));
     table.set_header({"sentence (words)", "relative utility"});
     for (const int words : bench::pangloss_test_sentences()) {
-      const auto cell = bench::run_pangloss_cell(batch, sc, words);
-      table.add_row(
-          {std::to_string(words), cell.relative_utility.cell(3)});
-      overall.add(cell.relative_utility.stats.mean());
+      const SweepResult result = bench::figure_sweep<PanglossExperiment>(
+          batch, [&](PanglossExperiment::Config& cfg) {
+            cfg.scenario = sc;
+            cfg.test_words = words;
+          });
+      const Aggregate relative = pangloss_scores(result).relative_utility;
+      table.add_row({std::to_string(words), relative.cell(3)});
+      overall.add(relative.stats.mean());
     }
     std::cout << table.to_string() << '\n';
   }

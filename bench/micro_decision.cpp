@@ -17,6 +17,9 @@
 // best-of-`reps` to shed scheduler noise, which only ever adds time;
 // latency percentiles come from the best rep's samples.
 //
+// Also best-of-`reps`: the model updates no decision stage isolates, the
+// numeric predictor's add and query and OperationModel::observe.
+//
 // Usage: micro_decision [--json=FILE] [--decisions=N] [--reps=N]
 #include <algorithm>
 #include <chrono>
@@ -29,8 +32,11 @@
 #include "bench_util.h"
 #include "apps/janus.h"
 #include "apps/pangloss.h"
+#include "predict/numeric.h"
+#include "predict/operation_model.h"
 #include "scenario/experiment.h"
 #include "scenario/world.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -117,34 +123,14 @@ ScenarioResult run_scenario(const std::string& name, int decisions, int reps,
 
 // ---------------------------------------------------------------- nullop
 
-constexpr const char* kNullOp = "null.op";
-
-void install_null_service(core::SpectraServer& server) {
-  server.register_service(kNullOp, [](const rpc::Request&) {
-    rpc::Response r;
-    r.ok = true;
-    r.payload = 64.0;
-    return r;
-  });
-}
-
 std::unique_ptr<World> nullop_world(std::size_t servers) {
   WorldConfig wc;
   wc.testbed = Testbed::kOverhead;
   wc.seed = 1;
   wc.overhead_servers = servers;
   auto world = std::make_unique<World>(wc);
-  for (MachineId id : world->server_ids()) {
-    install_null_service(world->server(id));
-  }
-  install_null_service(world->spectra().local_server());
-  core::OperationDesc desc;
-  desc.name = kNullOp;
-  desc.plans = {{"local", false}, {"remote", true}};
-  desc.fidelities = {{"level", {0.0, 1.0}}};
-  desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
-  world->spectra().register_fidelity(std::move(desc));
+  install_null_services(*world);
+  world->spectra().register_fidelity(null_op_desc());
   world->settle(6.0);
   // Train past the exploration phase so measured decisions run the full
   // model + solver path.
@@ -172,6 +158,66 @@ DecisionSample sample_from(const core::OperationChoice& choice, double t0,
   s.memo_hits = choice.memo_hits;
   s.candidate_servers = choice.candidate_servers;
   return s;
+}
+
+// ------------------------------------------------------ model components
+
+struct ComponentResult {
+  std::string name;
+  double ops_per_sec = 0.0;
+  double mean_us = 0.0;
+};
+
+// Best-of-`reps` cost of `ops` calls of op(i).
+template <typename OpFn>
+ComponentResult time_component(const std::string& name, int ops, int reps,
+                               OpFn&& op) {
+  for (int i = 0; i < 8; ++i) op(i);
+  double best_ms = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double t0 = wall_ms();
+    for (int i = 0; i < ops; ++i) op(i);
+    const double ms = wall_ms() - t0;
+    if (rep == 0 || ms < best_ms) best_ms = ms;
+  }
+  return {name, best_ms > 0.0 ? 1000.0 * ops / best_ms : 0.0,
+          1000.0 * best_ms / ops};
+}
+
+predict::FeatureVector component_features(int plan, double len) {
+  predict::FeatureVector f;
+  f.discrete["plan"] = plan;
+  f.discrete["vocab"] = plan % 2;
+  f.continuous["len"] = len;
+  return f;
+}
+
+std::vector<ComponentResult> run_components(int reps) {
+  constexpr int kOps = 10000;
+  predict::NumericPredictor predictor;
+  util::Rng rng(1);
+  const predict::FeatureVector query = component_features(1, 2.0);
+  volatile double sink = 0.0;  // keeps the queries from being dropped
+  predict::OperationModel model;
+  monitor::OperationUsage usage;
+  usage.local_cycles = 1e8;
+  usage.remote_cycles = 2e8;
+  usage.bytes_sent = 4096;
+  usage.energy = 3.0;
+  usage.local_file_accesses.push_back({"f1", 1000.0, false, false});
+  // Braced initializers run in order: the queries hit a trained predictor.
+  return {
+      time_component("predictor_add", kOps, reps,
+                     [&](int i) {
+                       predictor.add(
+                           component_features(i % 3, rng.uniform(1.0, 4.0)),
+                           rng.uniform(0, 1e9));
+                     }),
+      time_component("predictor_query", kOps, reps,
+                     [&](int) { sink = predictor.predict(query); }),
+      time_component("operation_model_observe", kOps, reps, [&](int i) {
+        model.observe(component_features(i % 3, 1.0 + (i % 5)), usage);
+      })};
 }
 
 // ----------------------------------------------------------------- main
@@ -272,6 +318,15 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string();
 
+  const std::vector<ComponentResult> components = run_components(reps);
+  util::Table ctable("micro_decision: model components (wall-clock)");
+  ctable.set_header({"component", "ops/s", "mean us"});
+  for (const auto& c : components) {
+    ctable.add_row({c.name, util::Table::num(c.ops_per_sec, 0),
+                    util::Table::num(c.mean_us, 3)});
+  }
+  std::cout << ctable.to_string();
+
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::trunc);
     out << "{\n  \"harness\": \"bench/micro_decision\",\n"
@@ -280,6 +335,14 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < results.size(); ++i) {
       out << json_scenario(results[i]) << (i + 1 < results.size() ? "," : "")
           << "\n";
+    }
+    out << "  ],\n  \"components\": [\n";
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      const ComponentResult& c = components[i];
+      out << "    {\"name\": \"" << c.name
+          << "\", \"ops_per_sec\": " << c.ops_per_sec
+          << ", \"mean_us\": " << c.mean_us << "}"
+          << (i + 1 < components.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote " << json_path << "\n";

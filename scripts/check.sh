@@ -25,6 +25,23 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 
+# start_daemon LOG [SERVE-FLAG...]: start `spectra serve --port=0` in the
+# background with its output in LOG, wait for it to listen, and set
+# SERVE_PID and PORT — or print LOG and fail.
+start_daemon() {
+  local log="$1"
+  shift
+  "$BUILD/src/cli/spectra" serve --port=0 "$@" > "$log" 2>&1 &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do
+    grep -q "listening on" "$log" 2>/dev/null && break
+    sleep 0.1
+  done
+  PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")
+  [ -n "$PORT" ] || { echo "serve daemon failed to start:" >&2
+                      cat "$log" >&2; exit 1; }
+}
+
 echo "== tier-1: configure + build =="
 cmake -B "$BUILD" -S . >/dev/null
 cmake --build "$BUILD" -j "$(nproc)"
@@ -39,16 +56,7 @@ echo "== serve smoke =="
 # against serve_floor in scripts/perf_baseline.json.
 SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SERVE_TMP"' EXIT
-"$BUILD/src/cli/spectra" serve --port=0 --record="$SERVE_TMP/rec.jsonl" \
-    > "$SERVE_TMP/serve.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$SERVE_TMP/serve.log" 2>/dev/null && break
-  sleep 0.1
-done
-PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$SERVE_TMP/serve.log")
-[ -n "$PORT" ] || { echo "serve daemon failed to start" >&2
-                    cat "$SERVE_TMP/serve.log" >&2; exit 1; }
+start_daemon "$SERVE_TMP/serve.log" --record="$SERVE_TMP/rec.jsonl"
 "$BUILD/src/cli/spectra" loadgen --port="$PORT" --clients=64 --ops=4 \
     --json="$SERVE_TMP/loadgen.json" >/dev/null
 cp "$SERVE_TMP/rec.jsonl" "$SERVE_TMP/rec_snapshot.jsonl"
@@ -78,18 +86,10 @@ echo "== serve chaos + crash recovery =="
 # armed — every op must complete exactly once, the daemon must exit
 # cleanly on SIGINT, and every shed/timeout/close/drop it performed must
 # be accounted in both its stats JSON and the lifecycle trace lines.
-"$BUILD/src/cli/spectra" serve --port=0 --record="$SERVE_TMP/chaos_wal.jsonl" \
+start_daemon "$SERVE_TMP/chaos_serve.log" \
+    --record="$SERVE_TMP/chaos_wal.jsonl" \
     --idle-timeout=1.5 --frame-timeout=1.0 \
-    --stats-json="$SERVE_TMP/chaos_stats.json" \
-    > "$SERVE_TMP/chaos_serve.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$SERVE_TMP/chaos_serve.log" 2>/dev/null && break
-  sleep 0.1
-done
-PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$SERVE_TMP/chaos_serve.log")
-[ -n "$PORT" ] || { echo "chaos serve daemon failed to start" >&2
-                    cat "$SERVE_TMP/chaos_serve.log" >&2; exit 1; }
+    --stats-json="$SERVE_TMP/chaos_stats.json"
 "$BUILD/src/cli/spectra" loadgen --port="$PORT" --clients=6 --ops=8 \
     --seed=31 --chaos=1.5 --json="$SERVE_TMP/chaos_loadgen.json" \
     > "$SERVE_TMP/chaos_loadgen.txt" \
@@ -161,15 +161,7 @@ PYEOF
 # form, lifecycle lines excluded) to a run that never crashed.
 WAL="$SERVE_TMP/kill_wal.jsonl"
 REF="$SERVE_TMP/kill_ref.jsonl"
-"$BUILD/src/cli/spectra" serve --port=0 --record="$WAL" \
-    > "$SERVE_TMP/kill_serve.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$SERVE_TMP/kill_serve.log" 2>/dev/null && break
-  sleep 0.1
-done
-PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$SERVE_TMP/kill_serve.log")
-[ -n "$PORT" ] || { echo "kill-test daemon failed to start" >&2; exit 1; }
+start_daemon "$SERVE_TMP/kill_serve.log" --record="$WAL"
 # Chaos slows the client enough that the kill lands mid-run; corruption
 # is header-only by design, so the WAL bytes stay clean.
 "$BUILD/src/cli/spectra" loadgen --port="$PORT" --clients=1 --ops=40 \
@@ -198,15 +190,8 @@ assert lg['reconnects'] >= 1, \
 assert lg['resumes'] >= 1, 'client reconnected without resuming its session'
 PYEOF
 # Reference run: same seed, same ops, no crash.
-"$BUILD/src/cli/spectra" serve --port=0 --record="$REF" \
-    > "$SERVE_TMP/kill_ref.log" 2>&1 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$SERVE_TMP/kill_ref.log" 2>/dev/null && break
-  sleep 0.1
-done
-REF_PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$SERVE_TMP/kill_ref.log")
-"$BUILD/src/cli/spectra" loadgen --port="$REF_PORT" --clients=1 --ops=40 \
+start_daemon "$SERVE_TMP/kill_ref.log" --record="$REF"
+"$BUILD/src/cli/spectra" loadgen --port="$PORT" --clients=1 --ops=40 \
     --seed=77 >/dev/null
 kill -INT "$SERVE_PID"
 wait "$SERVE_PID" || true

@@ -13,10 +13,8 @@
 // every alternative and why the winner won. Use --verbose for component
 // logs (or set SPECTRA_LOG=info|debug).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 
 #include "cli/args.h"
@@ -28,13 +26,13 @@
 #include "scenario/experiment.h"
 #include "scenario/fleet.h"
 #include "scenario/soak.h"
+#include "scenario/sweep.h"
 #include "serve/loadgen.h"
 #include "serve/replay.h"
 #include "serve/server.h"
 #include "util/assert.h"
 #include "util/log.h"
 #include "util/shutdown.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace spectra::cli {
@@ -138,48 +136,22 @@ scenarios:
   return 0;
 }
 
-template <typename S>
-S parse_scenario(const std::string& text, const std::vector<S>& all) {
-  for (const S s : all) {
-    if (name(s) == text) return s;
-  }
-  SPECTRA_REQUIRE(false, "unknown scenario: " + text);
-  throw std::logic_error("unreachable");
-}
-
 SpeechScenario speech_scenario(const Args& args) {
-  return parse_scenario<SpeechScenario>(
-      args.get("scenario", "baseline"),
-      {SpeechScenario::kBaseline, SpeechScenario::kEnergy,
-       SpeechScenario::kNetwork, SpeechScenario::kCpu,
-       SpeechScenario::kFileCache});
+  return parse_scenario(args.get("scenario", "baseline"), kSpeechScenarios);
 }
 
 LatexScenario latex_scenario(const Args& args) {
-  return parse_scenario<LatexScenario>(
-      args.get("scenario", "baseline"),
-      {LatexScenario::kBaseline, LatexScenario::kFileCache,
-       LatexScenario::kReintegrate, LatexScenario::kEnergy});
+  return parse_scenario(args.get("scenario", "baseline"), kLatexScenarios);
 }
 
 PanglossScenario pangloss_scenario(const Args& args) {
-  return parse_scenario<PanglossScenario>(
-      args.get("scenario", "baseline"),
-      {PanglossScenario::kBaseline, PanglossScenario::kFileCache,
-       PanglossScenario::kCpu});
+  return parse_scenario(args.get("scenario", "baseline"), kPanglossScenarios);
 }
 
 // Worker count for batch commands: --jobs, else SPECTRA_JOBS, else 1.
 // 0 means one worker per hardware thread.
 std::size_t jobs_arg(const Args& args) {
-  long requested = args.get_int("jobs", -1);
-  if (requested < 0) {
-    if (const char* env = std::getenv("SPECTRA_JOBS")) {
-      requested = std::atol(env);
-    }
-  }
-  if (requested < 0) return 1;
-  return resolve_jobs(requested);
+  return resolve_jobs(args.get_int("jobs", -1));
 }
 
 // --health / --failover knobs for the run commands. Returns an empty
@@ -232,115 +204,52 @@ CliObs obs_args(const Args& args) {
   return out;
 }
 
-// Generic scenario table: measure every alternative over N trials, then let
-// Spectra choose. Trials fan out across the batch runner, and each trial
-// fans its per-alternative runs out in turn; per-run observability shards
-// merge in run order, so the table and any trace are identical for any
-// --jobs.
-template <typename Experiment, typename MakeExperiment>
-void run_table(const std::string& title, long trials, std::uint64_t seed,
-               BatchRunner& batch, obs::Observability* session,
-               MakeExperiment make) {
-  const auto alternatives = Experiment::alternatives();
-  struct Cell {
-    util::OnlineStats time, energy;
-    bool infeasible = false;
-  };
-  std::map<std::string, Cell> cells;
-  util::OnlineStats s_time, s_energy;
-  std::map<std::string, int> chosen;
+// Trials per run command: each one trains and measures a whole world, so
+// the cap only stops a typo from asking for millions.
+constexpr long kMaxTrials = 1000;
 
-  struct TrialResult {
-    std::vector<MeasuredRun> runs;
-    MeasuredRun spectra;
-  };
-  const auto trial_results = batch.map_runs(
-      session, static_cast<std::size_t>(trials),
-      [&](std::size_t t, obs::Observability* trial_obs) {
-        const Experiment exp =
-            make(seed + static_cast<std::uint64_t>(t) * 17, trial_obs);
-        TrialResult r;
-        r.runs = batch.map_runs(
-            trial_obs, alternatives.size(),
-            [&](std::size_t a, obs::Observability* run_obs) {
-              return exp.measure(alternatives[a], run_obs);
-            });
-        r.spectra = exp.run_spectra(trial_obs);
-        return r;
+// Sweep a run command's experiment over --trials seeds from --seed, with
+// the shared --fault-plan / --health / --failover settings; `configure`
+// sets the command's own fields.
+template <typename Experiment, typename Configure>
+SweepResult run_sweep(const Args& args, long default_trials,
+                      obs::Observability* session, Configure&& configure) {
+  const auto seeds =
+      trial_seeds(static_cast<std::uint64_t>(args.get_int("seed", 1000)),
+                  args.get_count("trials", default_trials, kMaxTrials));
+  BatchRunner batch(jobs_arg(args));
+  return sweep<Experiment>(
+      batch, session, seeds,
+      [&](std::uint64_t seed, obs::Observability* trial_obs) {
+        typename Experiment::Config cfg;
+        configure(cfg);
+        cfg.seed = seed;
+        cfg.fault_plan = fault_plan_arg(args);
+        cfg.spectra_overrides = resilience_overrides(args);
+        cfg.obs = trial_obs;
+        return cfg;
       });
+}
 
-  for (const auto& trial : trial_results) {
-    for (std::size_t a = 0; a < alternatives.size(); ++a) {
-      const auto& run = trial.runs[a];
-      auto& cell = cells[Experiment::label(alternatives[a])];
-      if (run.feasible) {
-        cell.time.add(run.time);
-        cell.energy.add(run.energy);
-      } else {
-        cell.infeasible = true;
-      }
-    }
-    s_time.add(trial.spectra.time);
-    s_energy.add(trial.spectra.energy);
-    ++chosen[Experiment::label(trial.spectra.choice.alternative)];
-  }
-
-  std::string s_label;
-  int best = 0;
-  for (const auto& [label, count] : chosen) {
-    if (count > best) {
-      s_label = label;
-      best = count;
-    }
-  }
-
-  util::Table table(title);
-  table.set_header({"alternative", "time (s)", "energy (J)", ""});
-  for (const auto& alt : alternatives) {
-    const std::string label = Experiment::label(alt);
-    const auto& cell = cells[label];
-    if (cell.infeasible || cell.time.count() == 0) {
-      table.add_row({label, "unavailable", "-",
-                     label == s_label ? "<== Spectra" : ""});
-    } else {
-      table.add_row(
-          {label,
-           util::Table::num_ci(cell.time.mean(),
-                               cell.time.confidence_halfwidth(0.90), 2),
-           util::Table::num_ci(cell.energy.mean(),
-                               cell.energy.confidence_halfwidth(0.90), 2),
-           label == s_label ? "<== Spectra" : ""});
-    }
-  }
-  table.add_separator();
-  table.add_row({"Spectra (w/ overhead)",
-                 util::Table::num_ci(s_time.mean(),
-                                     s_time.confidence_halfwidth(0.90), 2),
-                 util::Table::num_ci(s_energy.mean(),
-                                     s_energy.confidence_halfwidth(0.90), 2),
-                 ""});
-  std::cout << table.to_string();
+// The run commands' table: time and energy of every alternative, then
+// Spectra's choice.
+void print_time_energy_table(const SweepResult& result,
+                             const std::string& title) {
+  std::cout << alternatives_table(
+      result, title, {{"time (s)", run_time}, {"energy (J)", run_energy}},
+      "<== Spectra");
 }
 
 int cmd_speech(const Args& args) {
   const auto sc = speech_scenario(args);
   CliObs obs = obs_args(args);
-  BatchRunner batch(jobs_arg(args));
-  run_table<SpeechExperiment>(
-      "Speech recognition — scenario: " + name(sc),
-      args.get_int("trials", 3),
-      static_cast<std::uint64_t>(args.get_int("seed", 1000)), batch,
-      obs.ptr(),
-      [&](std::uint64_t seed, obs::Observability* trial_obs) {
-        SpeechExperiment::Config cfg;
+  const SweepResult result = run_sweep<SpeechExperiment>(
+      args, 3, obs.ptr(), [&](SpeechExperiment::Config& cfg) {
         cfg.scenario = sc;
-        cfg.seed = seed;
         cfg.test_utterance_s = args.get_double("utterance", 2.0);
-        cfg.fault_plan = fault_plan_arg(args);
-        cfg.spectra_overrides = resilience_overrides(args);
-        cfg.obs = trial_obs;
-        return SpeechExperiment(cfg);
       });
+  print_time_energy_table(result,
+                          "Speech recognition — scenario: " + name(sc));
   obs.finish();
   return 0;
 }
@@ -351,22 +260,13 @@ int cmd_latex(const Args& args) {
   SPECTRA_REQUIRE(doc == "small" || doc == "large",
                   "--doc must be small or large");
   CliObs obs = obs_args(args);
-  BatchRunner batch(jobs_arg(args));
-  run_table<LatexExperiment>(
-      "Latex (" + doc + " document) — scenario: " + name(sc),
-      args.get_int("trials", 3),
-      static_cast<std::uint64_t>(args.get_int("seed", 1000)), batch,
-      obs.ptr(),
-      [&](std::uint64_t seed, obs::Observability* trial_obs) {
-        LatexExperiment::Config cfg;
+  const SweepResult result = run_sweep<LatexExperiment>(
+      args, 3, obs.ptr(), [&](LatexExperiment::Config& cfg) {
         cfg.scenario = sc;
         cfg.doc = doc;
-        cfg.seed = seed;
-        cfg.fault_plan = fault_plan_arg(args);
-        cfg.spectra_overrides = resilience_overrides(args);
-        cfg.obs = trial_obs;
-        return LatexExperiment(cfg);
       });
+  print_time_energy_table(
+      result, "Latex (" + doc + " document) — scenario: " + name(sc));
   obs.finish();
   return 0;
 }
@@ -374,69 +274,15 @@ int cmd_latex(const Args& args) {
 int cmd_pangloss(const Args& args) {
   const auto sc = pangloss_scenario(args);
   const int words = static_cast<int>(args.get_int("words", 10));
-  const long trials = args.get_int("trials", 1);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 1000));
-
   CliObs obs = obs_args(args);
-  BatchRunner batch(jobs_arg(args));
-  const auto alts = PanglossExperiment::alternatives();
-  struct TrialResult {
-    std::vector<double> utilities;
-    MeasuredRun spectra;
-  };
-  const auto trial_results = batch.map_runs(
-      obs.ptr(), static_cast<std::size_t>(trials),
-      [&](std::size_t t, obs::Observability* trial_obs) {
-        PanglossExperiment::Config cfg;
+  const SweepResult result = run_sweep<PanglossExperiment>(
+      args, 1, obs.ptr(), [&](PanglossExperiment::Config& cfg) {
         cfg.scenario = sc;
-        cfg.seed = seed + static_cast<std::uint64_t>(t) * 17;
         cfg.test_words = words;
-        cfg.fault_plan = fault_plan_arg(args);
-        cfg.spectra_overrides = resilience_overrides(args);
-        cfg.obs = trial_obs;
-        const PanglossExperiment exp(cfg);
-        TrialResult r;
-        r.utilities = batch.map_runs(
-            trial_obs, alts.size(),
-            [&](std::size_t a, obs::Observability* run_obs) {
-              return PanglossExperiment::achieved_utility(
-                  exp.measure(alts[a], run_obs), alts[a]);
-            });
-        r.spectra = exp.run_spectra(trial_obs);
-        return r;
       });
-
-  util::OnlineStats percentile, relative;
-  std::map<std::string, int> chosen;
-  for (const auto& trial : trial_results) {
-    double best = 0.0;
-    for (const double u : trial.utilities) best = std::max(best, u);
-    const double su = PanglossExperiment::achieved_utility(
-        trial.spectra, trial.spectra.choice.alternative);
-    percentile.add(util::percentile_rank(trial.utilities, su));
-    relative.add(best > 0.0 ? su / best : 0.0);
-    ++chosen[PanglossExperiment::label(trial.spectra.choice.alternative)];
-  }
-  std::string s_label;
-  int best_count = 0;
-  for (const auto& [label, count] : chosen) {
-    if (count > best_count) {
-      s_label = label;
-      best_count = count;
-    }
-  }
-  util::Table table("Pangloss-Lite (" + std::to_string(words) +
-                    " words) — scenario: " + name(sc));
-  table.set_header({"metric", "value"});
-  table.add_row({"alternatives considered",
-                 std::to_string(PanglossExperiment::alternatives().size())});
-  table.add_row({"Spectra chose", s_label});
-  table.add_row({"accuracy percentile (Fig 8)",
-                 util::Table::num(percentile.mean(), 1)});
-  table.add_row({"relative utility vs oracle (Fig 9)",
-                 util::Table::num(relative.mean(), 3)});
-  std::cout << table.to_string();
+  std::cout << pangloss_table(result, "Pangloss-Lite (" +
+                                          std::to_string(words) +
+                                          " words) — scenario: " + name(sc));
   obs.finish();
   return 0;
 }
@@ -444,8 +290,16 @@ int cmd_pangloss(const Args& args) {
 int cmd_overhead(const Args& args) {
   CliObs obs = obs_args(args);
   OverheadExperiment::Config cfg;
-  cfg.servers = static_cast<std::size_t>(args.get_int("servers", 1));
-  cfg.measured_runs = static_cast<int>(args.get_int("runs", 200));
+  // Overhead servers take machine ids 1..N, which must stay below the file
+  // server's id.
+  const long servers = args.get_int("servers", 1);
+  const long max_servers = static_cast<long>(kFileServer) - 1;
+  SPECTRA_REQUIRE(servers >= 0 && servers <= max_servers,
+                  "--servers must be in [0, " + std::to_string(max_servers) +
+                      "], got " + std::to_string(servers));
+  cfg.servers = static_cast<std::size_t>(servers);
+  cfg.measured_runs =
+      static_cast<int>(args.get_count("runs", 200, 1'000'000));
   cfg.obs = obs.ptr();
   const auto r = OverheadExperiment(cfg).run();
   util::Table table("Null-operation overhead, " +

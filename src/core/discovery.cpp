@@ -24,10 +24,6 @@ void DiscoveryDomain::subscribe(MachineId client, ServerDatabase& db) {
   subscribers_[client] = Subscriber{client, &db};
 }
 
-void DiscoveryDomain::unsubscribe(MachineId client) {
-  subscribers_.erase(client);
-}
-
 void DiscoveryDomain::round() {
   for (auto& [client_id, sub] : subscribers_) {
     for (auto& [server_id, server] : servers_) {

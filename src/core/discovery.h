@@ -38,7 +38,6 @@ class DiscoveryDomain {
   // database. Subscription delivers any already-announcing servers on the
   // next announcement round, not instantly — discovery takes time.
   void subscribe(MachineId client, ServerDatabase& db);
-  void unsubscribe(MachineId client);
 
   std::size_t announcing_servers() const { return servers_.size(); }
 

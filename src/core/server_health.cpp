@@ -2,23 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/assert.h"
 
 namespace spectra::core {
-
-const char* to_string(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "?";
-}
 
 ServerHealthTracker::ServerHealthTracker(sim::Engine& engine, util::Rng rng,
                                          ServerHealthConfig config)
@@ -178,17 +165,6 @@ void ServerHealthTracker::copy_state_from(const ServerHealthTracker& other) {
   config_ = other.config_;
   entries_ = other.entries_;
   paused_at_ = other.paused_at_;
-}
-
-std::string ServerHealthTracker::debug_string() const {
-  std::ostringstream out;
-  for (const auto& [id, e] : entries_) {
-    out << "server " << id << ": " << to_string(effective_state(e))
-        << " rate=" << e.failure_rate << " phi=" << suspicion_of(e)
-        << " consec=" << e.consecutive_failures << " penalty="
-        << penalty_factor(id) << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace spectra::core

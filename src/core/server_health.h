@@ -69,8 +69,6 @@ struct ServerHealthConfig {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-const char* to_string(BreakerState s);
-
 class ServerHealthTracker {
  public:
   ServerHealthTracker(sim::Engine& engine, util::Rng rng,
@@ -116,8 +114,6 @@ class ServerHealthTracker {
 
   // Structural copy for World::clone; engine reference stays the clone's own.
   void copy_state_from(const ServerHealthTracker& other);
-
-  std::string debug_string() const;
 
  private:
   struct Entry {

@@ -109,21 +109,4 @@ void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn) {
   group.wait();
 }
 
-// Run fn(i) for each i in [0, n), grouped into fixed `grain`-sized chunks
-// (one pool task per chunk, indices ascending within a chunk). The chunk
-// partition depends only on (n, grain) — never on the worker count — which
-// is what keeps chunked stages, and every per-index artifact they produce,
-// byte-identical for any --jobs.
-template <typename Fn>
-void parallel_for_chunked(ThreadPool* pool, std::size_t n, std::size_t grain,
-                          Fn&& fn) {
-  const std::size_t g = grain == 0 ? 1 : grain;
-  const std::size_t chunks = (n + g - 1) / g;
-  parallel_for(pool, chunks, [&fn, g, n](std::size_t chunk) {
-    const std::size_t lo = chunk * g;
-    const std::size_t hi = lo + g < n ? lo + g : n;
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
-}
-
 }  // namespace spectra::exec

@@ -193,7 +193,6 @@ class CodaClient {
   // active traces, and stop_trace pops the most recently started one.
   void start_trace();
   std::vector<Access> stop_trace();
-  std::size_t active_traces() const { return traces_.size(); }
 
   // Copy cache/journal/dirty state from the same client in another world.
   // Rebuilds the per-entry LRU iterators against this client's own list

@@ -1,22 +1,8 @@
 #include "fs/journal.h"
 
-#include <sstream>
-
 #include "util/assert.h"
 
 namespace spectra::fs {
-
-const char* to_string(TxnState s) {
-  switch (s) {
-    case TxnState::kActive:
-      return "active";
-    case TxnState::kCommitted:
-      return "committed";
-    case TxnState::kAborted:
-      return "aborted";
-  }
-  return "?";
-}
 
 bool JournalTxn::fully_pushed() const {
   for (const auto& f : files) {
@@ -92,18 +78,6 @@ const JournalTxn* ReintegrationJournal::open_txn() const {
   if (txns_.empty()) return nullptr;
   const JournalTxn& last = txns_.back();
   return last.state == TxnState::kActive ? &last : nullptr;
-}
-
-std::string ReintegrationJournal::to_string() const {
-  std::ostringstream out;
-  for (const auto& t : txns_) {
-    std::size_t pushed = 0;
-    for (const auto& f : t.files) pushed += f.pushed ? 1 : 0;
-    out << "txn " << t.id << " volume=" << t.volume << " "
-        << fs::to_string(t.state) << " pushed=" << pushed << "/"
-        << t.files.size() << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace spectra::fs

@@ -33,8 +33,6 @@ namespace spectra::fs {
 
 enum class TxnState { kActive, kCommitted, kAborted };
 
-const char* to_string(TxnState s);
-
 struct JournalFileRecord {
   std::string path;
   util::Bytes size = 0.0;
@@ -73,8 +71,6 @@ class ReintegrationJournal {
   // rolled back), for tests and soak reporting.
   std::size_t recovered() const { return recovered_; }
   void note_recovery() { ++recovered_; }
-
-  std::string to_string() const;
 
  private:
   JournalTxn& find(std::uint64_t txn_id);

@@ -32,8 +32,6 @@ class EnergyMeter {
   // True cumulative energy consumed since construction.
   Joules total_consumed();
 
-  Watts current_power() const { return power_; }
-
   // Copy the integration state from a meter attached to another engine.
   // Copies raw members only — never calls total_consumed() (which
   // integrates), so many clones may copy from one shared const template

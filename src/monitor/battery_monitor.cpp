@@ -31,11 +31,6 @@ void GoalDirectedAdaptation::set_goal(Seconds duration) {
   goal_end_ = engine_.now() + duration;
 }
 
-void GoalDirectedAdaptation::clear_goal() {
-  goal_active_ = false;
-  importance_ = 0.0;
-}
-
 void GoalDirectedAdaptation::pin_importance(double c) {
   SPECTRA_REQUIRE(c < 0.0 || c <= 1.0, "importance must be in [0,1]");
   pinned_importance_ = c;

@@ -41,7 +41,6 @@ class GoalDirectedAdaptation {
 
   // The battery must last `duration` seconds from now.
   void set_goal(Seconds duration);
-  void clear_goal();
 
   // Pin c to a fixed value, bypassing the feedback loop. Experiment
   // scenarios use this for reproducibility (the paper does not report the

@@ -28,9 +28,7 @@ class RecencyLinear {
   double predict(const FeatureMap& continuous) const;
 
   double total_weight() const { return weight_; }
-  std::size_t sample_count() const { return samples_; }
   bool empty() const { return weight_ <= 0.0; }
-  std::size_t feature_count() const { return names_.size(); }
 
   // True when enough samples exist to identify the regression slopes (or
   // the model has no continuous features, so the mean is the full answer).

@@ -22,18 +22,7 @@ namespace {
 
 enum class ServiceApp { kNullop, kSpeech, kLatex, kPangloss };
 
-constexpr const char* kNullOpName = "null.op";
-
 // ---- nullop world (the Fig-10 overhead testbed as a service) -------------
-
-void install_null_service(core::SpectraServer& server) {
-  server.register_service(kNullOpName, [](const rpc::Request&) {
-    rpc::Response r;
-    r.ok = true;
-    r.payload = 64.0;
-    return r;
-  });
-}
 
 std::vector<solver::Alternative> nullop_alternatives(const World& world) {
   std::vector<solver::Alternative> alts;
@@ -58,18 +47,8 @@ std::vector<solver::Alternative> nullop_alternatives(const World& world) {
 // building a world and when cloning one — World::clone copies neither
 // RPC handlers nor operation registrations into the fresh world.
 void prepare_nullop_world(World& world) {
-  for (MachineId id : world.server_ids()) {
-    install_null_service(world.server(id));
-  }
-  install_null_service(world.spectra().local_server());
-
-  core::OperationDesc desc;
-  desc.name = kNullOpName;
-  desc.plans = {{"local", false}, {"remote", true}};
-  desc.fidelities = {{"level", {0.0, 1.0}}};
-  desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
-  world.spectra().register_fidelity(std::move(desc));
+  install_null_services(world);
+  world.spectra().register_fidelity(null_op_desc());
 }
 
 std::unique_ptr<World> build_nullop_world(std::size_t servers,
@@ -88,11 +67,11 @@ std::unique_ptr<World> build_nullop_world(std::size_t servers,
   const int runs = static_cast<int>(alts.size()) * 3;
   for (int i = 0; i < runs; ++i) {
     world->spectra().begin_fidelity_op_forced(
-        kNullOpName, {}, "", alts[static_cast<std::size_t>(i) % alts.size()]);
+        kNullOp, {}, "", alts[static_cast<std::size_t>(i) % alts.size()]);
     rpc::Request req;
-    req.op_type = kNullOpName;
+    req.op_type = kNullOp;
     req.payload = 64.0;
-    world->spectra().do_local_op(kNullOpName, req);
+    world->spectra().do_local_op(kNullOp, req);
     world->spectra().end_fidelity_op();
   }
   world->settle(2.0);
@@ -133,18 +112,6 @@ std::unique_ptr<World> nullop_session_world(const std::string& scenario,
                      [](World& w) { prepare_nullop_world(w); });
 }
 
-// ---- scenario parsing ----------------------------------------------------
-
-template <typename S>
-S parse_scenario(const std::string& text, const std::vector<S>& all) {
-  const std::string want = text.empty() ? "baseline" : text;
-  for (const S s : all) {
-    if (name(s) == want) return s;
-  }
-  SPECTRA_REQUIRE(false, "unknown scenario: " + want);
-  throw std::logic_error("unreachable");
-}
-
 // ---- the session ---------------------------------------------------------
 
 class WorldDecisionService : public core::DecisionService {
@@ -182,12 +149,12 @@ class WorldDecisionService : public core::DecisionService {
     core::OperationChoice choice;
     switch (app_) {
       case ServiceApp::kNullop: {
-        choice = spectra.begin_fidelity_op(kNullOpName, request.params);
+        choice = spectra.begin_fidelity_op(kNullOp, request.params);
         pending_ = [this] {
           rpc::Request req;
-          req.op_type = kNullOpName;
+          req.op_type = kNullOp;
           req.payload = 64.0;
-          world_->spectra().do_local_op(kNullOpName, req);
+          world_->spectra().do_local_op(kNullOp, req);
         };
         break;
       }
@@ -279,7 +246,7 @@ class WorldDecisionService : public core::DecisionService {
   const char* op_name() const {
     switch (app_) {
       case ServiceApp::kNullop:
-        return kNullOpName;
+        return kNullOp;
       case ServiceApp::kSpeech:
         return apps::JanusApp::kOperation;
       case ServiceApp::kLatex:
@@ -309,17 +276,15 @@ class WorldDecisionService : public core::DecisionService {
 std::unique_ptr<core::DecisionService> make_session(const std::string& app,
                                                     const std::string& scenario,
                                                     std::uint64_t seed) {
+  const std::string scenario_name = scenario.empty() ? "baseline" : scenario;
   if (app == "nullop" || app.empty()) {
     return std::make_unique<WorldDecisionService>(
-        ServiceApp::kNullop, "nullop", scenario.empty() ? "baseline" : scenario,
-        seed, nullop_session_world(scenario, seed));
+        ServiceApp::kNullop, "nullop", scenario_name, seed,
+        nullop_session_world(scenario, seed));
   }
   if (app == "speech") {
     SpeechExperiment::Config cfg;
-    cfg.scenario = parse_scenario<SpeechScenario>(
-        scenario, {SpeechScenario::kBaseline, SpeechScenario::kEnergy,
-                   SpeechScenario::kNetwork, SpeechScenario::kCpu,
-                   SpeechScenario::kFileCache});
+    cfg.scenario = parse_scenario(scenario_name, kSpeechScenarios);
     cfg.seed = seed;
     return std::make_unique<WorldDecisionService>(
         ServiceApp::kSpeech, "speech", name(cfg.scenario), seed,
@@ -327,9 +292,7 @@ std::unique_ptr<core::DecisionService> make_session(const std::string& app,
   }
   if (app == "latex") {
     LatexExperiment::Config cfg;
-    cfg.scenario = parse_scenario<LatexScenario>(
-        scenario, {LatexScenario::kBaseline, LatexScenario::kFileCache,
-                   LatexScenario::kReintegrate, LatexScenario::kEnergy});
+    cfg.scenario = parse_scenario(scenario_name, kLatexScenarios);
     cfg.seed = seed;
     return std::make_unique<WorldDecisionService>(
         ServiceApp::kLatex, "latex", name(cfg.scenario), seed,
@@ -337,9 +300,7 @@ std::unique_ptr<core::DecisionService> make_session(const std::string& app,
   }
   if (app == "pangloss") {
     PanglossExperiment::Config cfg;
-    cfg.scenario = parse_scenario<PanglossScenario>(
-        scenario, {PanglossScenario::kBaseline, PanglossScenario::kFileCache,
-                   PanglossScenario::kCpu});
+    cfg.scenario = parse_scenario(scenario_name, kPanglossScenarios);
     cfg.seed = seed;
     return std::make_unique<WorldDecisionService>(
         ServiceApp::kPangloss, "pangloss", name(cfg.scenario), seed,

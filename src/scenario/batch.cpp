@@ -13,12 +13,17 @@ bool default_reuse_trained_world() {
 }
 
 std::size_t resolve_jobs(long requested) {
+  if (requested < 0) {
+    const char* env = std::getenv("SPECTRA_JOBS");
+    requested = env != nullptr ? std::atol(env) : -1;
+    if (requested < 0) return 1;
+  }
   if (requested == 0) return exec::ThreadPool::hardware_concurrency();
-  return requested < 1 ? 1 : static_cast<std::size_t>(requested);
+  return static_cast<std::size_t>(requested);
 }
 
-BatchRunner::BatchRunner(std::size_t jobs) : jobs_(jobs < 1 ? 1 : jobs) {
-  if (jobs_ > 1) pool_ = std::make_unique<exec::ThreadPool>(jobs_);
+BatchRunner::BatchRunner(std::size_t jobs) {
+  if (jobs > 1) pool_ = std::make_unique<exec::ThreadPool>(jobs);
 }
 
 TrainedWorldCache& TrainedWorldCache::instance() {

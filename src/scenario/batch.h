@@ -37,8 +37,9 @@ namespace spectra::scenario {
 // baseline).
 bool default_reuse_trained_world();
 
-// Turn a jobs request into a worker count: 0 means "one per hardware
-// thread"; anything else is clamped to at least 1.
+// Turn a --jobs request into a worker count: a negative request (no
+// --jobs) falls back to SPECTRA_JOBS, then to 1; 0 means one worker per
+// hardware thread.
 std::size_t resolve_jobs(long requested);
 
 class BatchRunner {
@@ -46,10 +47,6 @@ class BatchRunner {
   // jobs <= 1 runs everything inline on the calling thread (the sequential
   // reference path); jobs > 1 spins up that many workers.
   explicit BatchRunner(std::size_t jobs);
-
-  std::size_t jobs() const { return jobs_; }
-  // Null when sequential.
-  exec::ThreadPool* pool() { return pool_.get(); }
 
   // Run fn(i) for i in [0, n); returns results in index order. T must be
   // default-constructible. May be called from inside another batch task on
@@ -101,8 +98,7 @@ class BatchRunner {
   }
 
  private:
-  std::size_t jobs_;
-  std::unique_ptr<exec::ThreadPool> pool_;
+  std::unique_ptr<exec::ThreadPool> pool_;  // null when sequential
 };
 
 // Process-wide cache of trained Worlds, keyed by an experiment-provided

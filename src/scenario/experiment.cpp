@@ -433,32 +433,28 @@ double PanglossExperiment::achieved_utility(const MeasuredRun& run,
 
 // --------------------------------------------------------------- overhead
 
-namespace {
-
-constexpr const char* kNullOp = "null.op";
-
-void install_null_service(core::SpectraServer& server) {
-  server.register_service(kNullOp, [](const rpc::Request&) {
-    rpc::Response r;
-    r.ok = true;
-    r.payload = 64.0;
-    return r;
-  });
+void install_null_services(World& world) {
+  const auto install = [](core::SpectraServer& server) {
+    server.register_service(kNullOp, [](const rpc::Request&) {
+      rpc::Response r;
+      r.ok = true;
+      r.payload = 64.0;
+      return r;
+    });
+  };
+  for (MachineId id : world.server_ids()) install(world.server(id));
+  install(world.spectra().local_server());
 }
 
-double register_null_op(core::SpectraClient& client) {
+core::OperationDesc null_op_desc() {
   core::OperationDesc desc;
   desc.name = kNullOp;
   desc.plans = {{"local", false}, {"remote", true}};
   desc.fidelities = {{"level", {0.0, 1.0}}};
   desc.latency_fn = solver::inverse_latency();
   desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
-  const double t0 = wall_ms();
-  client.register_fidelity(std::move(desc));
-  return wall_ms() - t0;
+  return desc;
 }
-
-}  // namespace
 
 OverheadReport OverheadExperiment::run() const {
   WorldConfig wc;
@@ -467,14 +463,14 @@ OverheadReport OverheadExperiment::run() const {
   wc.overhead_servers = config_.servers;
   wc.spectra.obs = config_.obs;
   World world(wc);
-  for (MachineId id : world.server_ids()) {
-    install_null_service(world.server(id));
-  }
-  install_null_service(world.spectra().local_server());
+  install_null_services(world);
 
   OverheadReport report;
   report.servers = config_.servers;
-  report.register_ms = register_null_op(world.spectra());
+  core::OperationDesc desc = null_op_desc();
+  const double t0 = wall_ms();
+  world.spectra().register_fidelity(std::move(desc));
+  report.register_ms = wall_ms() - t0;
   world.settle(6.0);
 
   // Train so the measured begin_fidelity_op runs the full decision path.

@@ -212,6 +212,15 @@ class PanglossExperiment {
 
 // --------------------------------------------------------------- overhead
 
+// The Fig 10 null operation (also the daemon's nullop sessions and
+// micro_decision's testbed): a service answering 64 bytes, and an
+// operation with local/remote plans and one binary fidelity.
+inline constexpr const char* kNullOp = "null.op";
+// Install the null service on every server and on the client's local
+// server. World::clone copies no RPC handlers, so clones need this too.
+void install_null_services(World& world);
+core::OperationDesc null_op_desc();
+
 // Fig 10: cost of a null operation under 0 / 1 / 5 candidate servers.
 struct OverheadReport {
   std::size_t servers = 0;

@@ -19,11 +19,6 @@ using namespace util;  // NOLINT: unit literals (_KB, _MB)
 
 namespace {
 
-// Clients are processed in fixed chunks of this many per pool task, so the
-// work partition (and thus every per-client artifact) is independent of the
-// worker count.
-constexpr std::size_t kClientChunk = 64;
-
 double wall_now_ms() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -217,28 +212,11 @@ FleetWorld::FleetWorld(std::shared_ptr<const FleetScenario> scenario,
   const FleetConfig& cfg = scenario_->config();
   store_.resize(cfg.clients);
 
-  // Pool partition: one pool per island, or one per client chunk when a
-  // single island fans its decision stage out across chunks. Both are pure
-  // functions of the scenario, so every per-pool artifact (and the order
-  // pools are drained in) is byte-identical for any --jobs.
-  pool_of_.resize(cfg.clients);
-  std::size_t npools;
-  if (plan_.islands > 1) {
-    npools = plan_.islands;
-    for (std::size_t c = 0; c < cfg.clients; ++c) {
-      pool_of_[c] = plan_.island_of_client[c];
-    }
-  } else {
-    npools = (cfg.clients + kClientChunk - 1) / kClientChunk;
-    for (std::size_t c = 0; c < cfg.clients; ++c) {
-      // Single-island membership is the identity order, so the chunk of
-      // member index c is the chunk of client c.
-      pool_of_[c] = static_cast<std::uint32_t>(c / kClientChunk);
-    }
-  }
-  pools_.resize(npools);
+  // One pool per island: the island partition is a pure function of the
+  // scenario, so every per-pool artifact is byte-identical for any --jobs.
+  pools_.resize(plan_.islands);
   for (std::size_t c = 0; c < cfg.clients; ++c) {
-    pools_[pool_of_[c]].op_bound += scenario_->schedule(c).size();
+    pools_[plan_.island_of_client[c]].op_bound += scenario_->schedule(c).size();
   }
   for (PoolStore& pool : pools_) pool.reserve_bound();
 
@@ -311,7 +289,7 @@ void FleetWorld::run_local(std::uint32_t client, const FleetOp& op,
   run.ideal = ideal_time(client, op);
   run.fallback = fallback;
   store_.local_free_at[client] = run.finish;
-  PoolStore& pool = pools_[pool_of_[client]];
+  PoolStore& pool = pools_[plan_.island_of_client[client]];
   const std::int32_t node = pool.alloc_run();
   pool.run_nodes[static_cast<std::size_t>(node)] = {run, -1};
   if (store_.run_tail[client] >= 0) {
@@ -326,7 +304,7 @@ void FleetWorld::run_local(std::uint32_t client, const FleetOp& op,
 void FleetWorld::complete_local(std::uint32_t client, util::Seconds t1) {
   std::int32_t n = store_.run_head[client];
   if (n < 0) return;
-  PoolStore& pool = pools_[pool_of_[client]];
+  PoolStore& pool = pools_[plan_.island_of_client[client]];
   // Finishes are monotone along the FIFO (local_free_at never runs
   // backwards), so draining the prefix <= t1 is complete.
   while (n >= 0 && pool.run_nodes[static_cast<std::size_t>(n)].run.finish <=
@@ -355,7 +333,7 @@ void FleetWorld::credit_completion(std::uint32_t client, util::Seconds arrived,
     ++store_.completed_local[client];
   }
   store_.latency_sum_s[client] += latency;
-  pools_[pool_of_[client]].latencies.push_back({client, latency});
+  pools_[plan_.island_of_client[client]].latencies.push_back({client, latency});
   // Slowdown in (0, 1]: best unloaded placement time over achieved time.
   store_.slowdown_sum[client] +=
       latency > 0.0 ? std::min(ideal / latency, 1.0) : 1.0;
@@ -578,43 +556,36 @@ FleetWorld::Decision FleetWorld::decide(std::size_t island,
 }
 
 void FleetWorld::island_decisions(std::size_t island, util::Seconds t1) {
-  const std::vector<std::uint32_t>& members = plan_.clients[island];
   const util::Seconds step_end = exec_.next_barrier();
-  // With one island the islands themselves offer no parallelism, so the
-  // decision stage fans out across the pool in fixed client chunks (the
-  // legacy shape); with many islands the island is the parallel unit and
-  // this stage runs inline on its worker.
-  exec::ThreadPool* pool = plan_.islands == 1 ? stage_pool_ : nullptr;
-  exec::parallel_for_chunked(
-      pool, members.size(), kClientChunk, [&](std::size_t idx) {
-        const std::uint32_t client = members[idx];
-        PoolStore& ps = pools_[pool_of_[client]];
-        complete_local(client, t1);
-        const std::span<const FleetOp> sched = scenario_->schedule(client);
-        std::uint32_t& cursor = store_.next_op[client];
-        while (cursor < sched.size() && sched[cursor].at <= t1) {
-          const FleetOp& op = sched[cursor++];
-          const double w0 = wall_now_ms();
-          Decision d = decide(island, client, op, step_end);
-          ps.wall_ms.push_back(wall_now_ms() - w0);
-          ++store_.decisions[client];
-          if (trace_on_) {
-            obs::TraceEvent ev("fleet_decision", op.at);
-            ev.field("client", static_cast<std::int64_t>(client))
-                .field("target",
-                       d.server < 0
-                           ? std::string("local")
-                           : scenario_->servers()[d.server].name.str())
-                .field("predicted", d.predicted_s);
-            traces_[client].emit(ev);
-          }
-          if (d.server < 0) {
-            run_local(client, op, op.at, /*fallback=*/false);
-          } else {
-            ps.decisions.push_back(d);
-          }
-        }
-      });
+  // The island is the unit of parallelism: this stage runs inline on the
+  // island's worker, over its members in ascending client order.
+  PoolStore& ps = pools_[island];
+  for (const std::uint32_t client : plan_.clients[island]) {
+    complete_local(client, t1);
+    const std::span<const FleetOp> sched = scenario_->schedule(client);
+    std::uint32_t& cursor = store_.next_op[client];
+    while (cursor < sched.size() && sched[cursor].at <= t1) {
+      const FleetOp& op = sched[cursor++];
+      const double w0 = wall_now_ms();
+      Decision d = decide(island, client, op, step_end);
+      ps.wall_ms.push_back(wall_now_ms() - w0);
+      ++store_.decisions[client];
+      if (trace_on_) {
+        obs::TraceEvent ev("fleet_decision", op.at);
+        ev.field("client", static_cast<std::int64_t>(client))
+            .field("target", d.server < 0
+                                 ? std::string("local")
+                                 : scenario_->servers()[d.server].name.str())
+            .field("predicted", d.predicted_s);
+        traces_[client].emit(ev);
+      }
+      if (d.server < 0) {
+        run_local(client, op, op.at, /*fallback=*/false);
+      } else {
+        ps.decisions.push_back(d);
+      }
+    }
+  }
 }
 
 bool FleetWorld::submit_remote(std::uint32_t client, std::size_t server,
@@ -653,36 +624,24 @@ bool FleetWorld::submit_remote(std::uint32_t client, std::size_t server,
 void FleetWorld::island_submit(std::size_t island) {
   IslandState& is = islands_[island];
   util::Arena* arena = arenas_[island].get();
-  // Gather this island's pool buffers: one pool (the island's own) in the
-  // multi-island world, every chunk pool in the single-island one. Either
-  // way the concatenation order is ascending client index — the same order
-  // the per-client scratch used to be drained in.
-  const std::size_t pool_lo = plan_.islands == 1 ? 0 : island;
-  const std::size_t pool_hi = plan_.islands == 1 ? pools_.size() : island + 1;
-  std::size_t total = 0;
-  for (std::size_t p = pool_lo; p < pool_hi; ++p) {
-    total += pools_[p].decisions.size();
-  }
-  std::pmr::vector<const Decision*> gathered(arena);
-  gathered.reserve(total);
-  for (std::size_t p = pool_lo; p < pool_hi; ++p) {
-    for (const Decision& d : pools_[p].decisions) gathered.push_back(&d);
-  }
-  // Island admission order: arrival time, ties by gather position — an
+  // The island's decisions, in ascending client order (the order its
+  // members decided in).
+  std::vector<Decision>& decisions = pools_[island].decisions;
+  // Island admission order: arrival time, ties by decision position — an
   // index sort, so it reproduces the stable sort the old per-tick copy ran
   // without the allocation std::stable_sort makes per call.
   std::pmr::vector<std::uint32_t> order(arena);
-  order.resize(total);
-  for (std::uint32_t i = 0; i < total; ++i) order[i] = i;
+  order.resize(decisions.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
-            [&gathered](std::uint32_t a, std::uint32_t b) {
-              const double at_a = gathered[a]->op.at;
-              const double at_b = gathered[b]->op.at;
+            [&decisions](std::uint32_t a, std::uint32_t b) {
+              const double at_a = decisions[a].op.at;
+              const double at_b = decisions[b].op.at;
               return at_a != at_b ? at_a < at_b : a < b;
             });
   std::size_t transfers = 0;
   for (const std::uint32_t i : order) {
-    const Decision& d = *gathered[i];
+    const Decision& d = decisions[i];
     const auto s = static_cast<std::size_t>(d.server);
     if (plan_.island_of_server[s] != static_cast<std::uint32_t>(island)) {
       // Cross-island pick: the uplink transfer starts now (it counts
@@ -702,9 +661,7 @@ void FleetWorld::island_submit(std::size_t island) {
     }
     if (submit_remote(d.client, s, d.op, d.net_time_s, d.op.at)) ++transfers;
   }
-  for (std::size_t p = pool_lo; p < pool_hi; ++p) {
-    pools_[p].decisions.clear();
-  }
+  decisions.clear();
   is.tick_transfers.push_back(transfers);
 }
 
@@ -831,11 +788,9 @@ void FleetWorld::exchange(util::Seconds t) {
 
 void FleetWorld::run_until(util::Seconds until, exec::ThreadPool* pool) {
   until = std::min(until, scenario_->config().horizon);
-  stage_pool_ = pool;
   const double w0 = wall_now_ms();
   exec_.run_until(until, pool);
   wall_seconds_ += (wall_now_ms() - w0) / 1e3;
-  stage_pool_ = nullptr;
 }
 
 std::uint64_t FleetWorld::state_fingerprint() const {
@@ -860,7 +815,7 @@ std::uint64_t FleetWorld::state_fingerprint() const {
     h = util::fnv_mix(h, store_.energy_j[c]);
     h = util::fnv_mix(h, store_.local_free_at[c]);
     std::uint64_t queued = 0;
-    const PoolStore& pool = pools_[pool_of_[c]];
+    const PoolStore& pool = pools_[plan_.island_of_client[c]];
     for (std::int32_t n = store_.run_head[c]; n >= 0;
          n = pool.run_nodes[static_cast<std::size_t>(n)].next) {
       ++queued;

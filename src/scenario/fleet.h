@@ -254,10 +254,9 @@ class FleetWorld {
   bool finished() const { return finished_; }
 
   // Advance every island until virtual time reaches `until` (clamped to
-  // the horizon), synchronizing at each lookahead barrier. With multiple
-  // islands the islands fan out across `pool`; with one island the per-tick
-  // decision stage fans out instead (null pool runs everything inline — the
-  // sequential reference path).
+  // the horizon), synchronizing at each lookahead barrier. Islands fan out
+  // across `pool` (null runs everything inline — the sequential reference
+  // path).
   void run_until(util::Seconds until, exec::ThreadPool* pool);
 
   // Run to the horizon, settle outstanding cross-island mail, merge
@@ -335,14 +334,12 @@ class FleetWorld {
 
   struct Decision;
 
-  // Per-pool append buffers and the local-run node store. A "pool" is the
-  // unit of parallel execution in the decision stage: one per island when
-  // islands shard the world, one per kClientChunk-clients chunk in the
-  // single-island chunked stage. Either way a pool is written by exactly
-  // one worker at a time, and the pool partition is a pure function of the
-  // scenario — never of --jobs. Buffers are reserved up front to their op
-  // bound (one entry per scheduled op at most), so steady-state ticks never
-  // touch the allocator.
+  // Per-island append buffers and the local-run node store. Each island's
+  // pool is written only by the worker advancing that island, and the
+  // island partition is a pure function of the scenario — never of --jobs.
+  // Buffers are reserved up front to their op bound (one entry per
+  // scheduled op at most), so steady-state ticks never touch the
+  // allocator.
   struct PoolStore {
     std::vector<RunNode> run_nodes;  // arena of queued local runs
     std::int32_t run_free = -1;      // free-list head into run_nodes
@@ -497,10 +494,8 @@ class FleetWorld {
   // vector otherwise — 100k clients must not pay for shards they never
   // write). Merged into the session at finish() in client index order.
   std::vector<obs::TraceShard> traces_;
-  // Execution-unit append buffers; pool_of_[c] is fixed at construction
-  // (island index, or client chunk when there is one island).
+  // Per-island append buffers, indexed like plan_.clients.
   std::vector<PoolStore> pools_;
-  std::vector<std::uint32_t> pool_of_;
   std::vector<ServerState> servers_;
   std::vector<IslandState> islands_;
   // Tick-lifetime scratch arenas: one per island (reset after every tick)
@@ -527,8 +522,6 @@ class FleetWorld {
   std::uint64_t cross_submissions_ = 0;
   bool finished_ = false;
   bool trace_on_ = false;
-  // Pool for the single-island chunked decision stage; set by run_until.
-  exec::ThreadPool* stage_pool_ = nullptr;
   double wall_seconds_ = 0.0;
   FleetReport report_;  // cached by finish()
   sim::IslandExecutor exec_;  // last: hooks bind to *this

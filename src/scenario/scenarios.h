@@ -8,9 +8,12 @@
 // run-queue smoothing, goal-directed adaptation).
 #pragma once
 
+#include <cstddef>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/world.h"
+#include "util/assert.h"
 
 namespace spectra::scenario {
 
@@ -21,6 +24,29 @@ enum class PanglossScenario { kBaseline, kFileCache, kCpu };
 std::string name(SpeechScenario s);
 std::string name(LatexScenario s);
 std::string name(PanglossScenario s);
+
+// Every scenario of each application, in the paper's order.
+inline constexpr SpeechScenario kSpeechScenarios[] = {
+    SpeechScenario::kBaseline, SpeechScenario::kEnergy,
+    SpeechScenario::kNetwork, SpeechScenario::kCpu,
+    SpeechScenario::kFileCache};
+inline constexpr LatexScenario kLatexScenarios[] = {
+    LatexScenario::kBaseline, LatexScenario::kFileCache,
+    LatexScenario::kReintegrate, LatexScenario::kEnergy};
+inline constexpr PanglossScenario kPanglossScenarios[] = {
+    PanglossScenario::kBaseline, PanglossScenario::kFileCache,
+    PanglossScenario::kCpu};
+
+// The scenario in `all` named `text`; throws util::ContractError on an
+// unknown name.
+template <typename S, std::size_t N>
+S parse_scenario(const std::string& text, const S (&all)[N]) {
+  for (const S s : all) {
+    if (name(s) == text) return s;
+  }
+  SPECTRA_REQUIRE(false, "unknown scenario: " + text);
+  throw std::logic_error("unreachable");
+}
 
 // Energy-conservation importance pinned in the battery scenarios. The
 // paper's c comes from goal-directed adaptation and is not reported; these

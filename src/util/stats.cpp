@@ -105,12 +105,6 @@ double mean_of(const std::vector<double>& xs) {
   return s.mean();
 }
 
-double stddev_of(const std::vector<double>& xs) {
-  OnlineStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 double normal_quantile(double p) {
   SPECTRA_REQUIRE(p > 0.0 && p < 1.0, "probability must be in (0,1)");
   // Rational approximation of the probit function (Beasley-Springer-Moro).

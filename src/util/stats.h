@@ -81,7 +81,6 @@ double percentile_rank(const std::vector<double>& samples, double x);
 double percentile_value(std::vector<double> samples, double p);
 
 double mean_of(const std::vector<double>& xs);
-double stddev_of(const std::vector<double>& xs);
 
 // Quantile (inverse CDF) of the standard normal distribution at p in (0,1).
 double normal_quantile(double p);

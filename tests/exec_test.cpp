@@ -17,6 +17,7 @@
 #include "obs/obs.h"
 #include "scenario/batch.h"
 #include "scenario/experiment.h"
+#include "scenario/sweep.h"
 #include "util/log.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -398,29 +399,28 @@ TEST(BatchDeterminismTest, SpeechTraceByteIdenticalAcrossJobs) {
 // A test-sized Figure-8 cell (Pangloss accuracy percentile): the rendered
 // table must come out byte-identical at jobs=1 and jobs=8.
 TEST(BatchDeterminismTest, PanglossFig8TableByteIdenticalAcrossJobs) {
-  const auto alts = PanglossExperiment::alternatives();
   auto run_cell = [&](std::size_t jobs) {
     BatchRunner batch(jobs);
-    PanglossExperiment::Config cfg;
-    cfg.scenario = scenario::PanglossScenario::kBaseline;
-    cfg.seed = 1000;
-    cfg.test_words = 10;
-    cfg.training_runs = 24;  // test-sized; full figure uses 129
-    cfg.reuse_trained_world = true;
-    PanglossExperiment exp(cfg);
-    const auto utilities =
-        batch.map(alts.size(), [&](std::size_t i) {
-          return PanglossExperiment::achieved_utility(exp.measure(alts[i]),
-                                                      alts[i]);
-        });
-    const auto s = exp.run_spectra();
-    const double su =
-        PanglossExperiment::achieved_utility(s, s.choice.alternative);
+    const scenario::SweepResult result =
+        scenario::sweep<PanglossExperiment>(
+            batch, nullptr, {1000},
+            [](std::uint64_t seed, obs::Observability* trial_obs) {
+              PanglossExperiment::Config cfg;
+              cfg.scenario = scenario::PanglossScenario::kBaseline;
+              cfg.seed = seed;
+              cfg.test_words = 10;
+              cfg.training_runs = 24;  // test-sized; full figure uses 129
+              cfg.reuse_trained_world = true;
+              cfg.obs = trial_obs;
+              return cfg;
+            });
     util::Table table("Fig 8 cell (test-sized)");
     table.set_header({"sentence (words)", "percentile", "Spectra chose"});
-    table.add_row({"10",
-                   util::Table::num(util::percentile_rank(utilities, su), 1),
-                   PanglossExperiment::label(s.choice.alternative)});
+    table.add_row(
+        {"10",
+         util::Table::num(
+             scenario::pangloss_scores(result).percentile.stats.mean(), 1),
+         scenario::modal_choice(result)});
     return table.to_string();
   };
   const auto sequential = run_cell(1);

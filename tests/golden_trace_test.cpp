@@ -30,6 +30,7 @@
 #include "scenario/batch.h"
 #include "scenario/experiment.h"
 #include "scenario/fleet.h"
+#include "scenario/sweep.h"
 
 namespace spectra {
 namespace {
@@ -38,6 +39,7 @@ using scenario::BatchRunner;
 using scenario::LatexExperiment;
 using scenario::PanglossExperiment;
 using scenario::SpeechExperiment;
+using scenario::SweepResult;
 
 #ifndef SPECTRA_GOLDEN_DIR
 #error "SPECTRA_GOLDEN_DIR must be defined by the build"
@@ -206,42 +208,32 @@ TEST(GoldenTraceTest, PanglossDecisionTraceAndMetricsAreByteIdentical) {
 
 // ------------------------------------------------- figure CSV (batch runs)
 
-// A miniature fig03-style cell: measure every speech alternative plus the
+// A miniature fig03-style cell: sweep every speech alternative plus the
 // Spectra run for a few seeds, and render the numbers the figures are built
-// from into a CSV. Runs through the BatchRunner so the same bytes must come
-// out at any --jobs.
+// from into a CSV. The sweep fans out through the BatchRunner, so the same
+// bytes must come out at any --jobs.
 std::string speech_figure_csv(BatchRunner& batch) {
-  const auto alts = SpeechExperiment::alternatives();
   const std::vector<std::uint64_t> seeds = {1, 2, 3};
-  struct Trial {
-    std::vector<double> times;
-    double spectra_time = 0.0;
-    std::string spectra_label;
-  };
-  const auto trials = batch.map(seeds.size(), [&](std::size_t t) {
-    SpeechExperiment::Config cfg;
-    cfg.seed = seeds[t];
-    cfg.scenario = scenario::SpeechScenario::kNetwork;
-    SpeechExperiment exp(cfg);
-    Trial out;
-    out.times = batch.map(alts.size(), [&](std::size_t a) {
-      return exp.measure(alts[a]).time;
-    });
-    const auto s = exp.run_spectra();
-    out.spectra_time = s.time;
-    out.spectra_label = SpeechExperiment::label(s.choice.alternative);
-    return out;
-  });
+  const SweepResult result = scenario::sweep<SpeechExperiment>(
+      batch, nullptr, seeds,
+      [](std::uint64_t seed, obs::Observability* trial_obs) {
+        SpeechExperiment::Config cfg;
+        cfg.seed = seed;
+        cfg.scenario = scenario::SpeechScenario::kNetwork;
+        cfg.obs = trial_obs;
+        return cfg;
+      });
   std::ostringstream csv;
   csv.precision(17);
   csv << "seed,alternative,time_s\n";
-  for (std::size_t t = 0; t < trials.size(); ++t) {
-    for (std::size_t a = 0; a < alts.size(); ++a) {
-      csv << seeds[t] << ',' << SpeechExperiment::label(alts[a]) << ','
-          << trials[t].times[a] << '\n';
+  for (std::size_t t = 0; t < result.trials.size(); ++t) {
+    const scenario::SweepTrial& trial = result.trials[t];
+    for (std::size_t a = 0; a < result.labels.size(); ++a) {
+      csv << seeds[t] << ',' << result.labels[a] << ',' << trial.runs[a].time
+          << '\n';
     }
-    csv << seeds[t] << ",spectra:" << trials[t].spectra_label << ','
-        << trials[t].spectra_time << '\n';
+    csv << seeds[t] << ",spectra:" << trial.spectra_label << ','
+        << trial.spectra.time << '\n';
   }
   return csv.str();
 }
@@ -254,6 +246,61 @@ TEST(GoldenTraceTest, FigureCsvIsByteIdenticalAcrossJobs) {
   BatchRunner par(8);
   const std::string csv8 = speech_figure_csv(par);
   EXPECT_EQ(csv1, csv8) << "--jobs=8 changed figure bytes";
+}
+
+// ------------------------------------------------- CLI run-command tables
+
+// The tables `spectra speech|latex|pangloss --trials=2` print (default seed
+// 1000), rebuilt through the same sweep and renderers the commands call.
+// The speech file-cache scenario covers the "unavailable" rows.
+TEST(GoldenTraceTest, CliSweepTablesAreByteIdentical) {
+  BatchRunner batch(1);
+  const auto seeds = scenario::trial_seeds(1000, 2);
+  const std::vector<scenario::TableColumn> columns = {
+      {"time (s)", scenario::run_time}, {"energy (J)", scenario::run_energy}};
+
+  const SweepResult speech = scenario::sweep<SpeechExperiment>(
+      batch, nullptr, seeds,
+      [](std::uint64_t seed, obs::Observability* trial_obs) {
+        SpeechExperiment::Config cfg;
+        cfg.scenario = scenario::SpeechScenario::kFileCache;
+        cfg.seed = seed;
+        cfg.obs = trial_obs;
+        return cfg;
+      });
+  expect_golden("cli_speech_table.txt.golden",
+                scenario::alternatives_table(
+                    speech, "Speech recognition — scenario: file-cache",
+                    columns, "<== Spectra"));
+
+  const SweepResult latex = scenario::sweep<LatexExperiment>(
+      batch, nullptr, seeds,
+      [](std::uint64_t seed, obs::Observability* trial_obs) {
+        LatexExperiment::Config cfg;
+        cfg.scenario = scenario::LatexScenario::kReintegrate;
+        cfg.doc = "large";
+        cfg.seed = seed;
+        cfg.obs = trial_obs;
+        return cfg;
+      });
+  expect_golden("cli_latex_table.txt.golden",
+                scenario::alternatives_table(
+                    latex, "Latex (large document) — scenario: reintegrate",
+                    columns, "<== Spectra"));
+
+  const SweepResult pangloss = scenario::sweep<PanglossExperiment>(
+      batch, nullptr, seeds,
+      [](std::uint64_t seed, obs::Observability* trial_obs) {
+        PanglossExperiment::Config cfg;
+        cfg.scenario = scenario::PanglossScenario::kCpu;
+        cfg.seed = seed;
+        cfg.test_words = 38;
+        cfg.obs = trial_obs;
+        return cfg;
+      });
+  expect_golden("cli_pangloss_table.txt.golden",
+                scenario::pangloss_table(
+                    pangloss, "Pangloss-Lite (38 words) — scenario: cpu"));
 }
 
 // Traced batch fan-out: shard-per-run traces merged in index order must be
