@@ -1,9 +1,8 @@
 #include "obs/memaudit.h"
 
 #include <atomic>
-#include <cstddef>
-#include <cstdlib>
-#include <new>
+
+#include "obs/memaudit_hook.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -21,28 +20,23 @@ std::atomic<unsigned long long> g_allocs[kScopes];
 std::atomic<unsigned long long> g_frees[kScopes];
 std::atomic<long long> g_live_total;
 std::atomic<unsigned long long> g_peak_live;
+std::atomic<bool> g_hook_linked;
 
 // Scope active on this thread. Plain integral thread_local: constant
 // initialization, so reading it never allocates.
 thread_local unsigned t_scope = 0;
 
-#if defined(SPECTRA_MEMAUDIT)
+}  // namespace
 
-// Every tracked block carries this header immediately before the payload.
-// 16 bytes, max_align_t-aligned, so payload alignment is preserved for
-// ordinary (non-overaligned) allocations; overaligned requests pad further
-// and record the payload-to-raw offset.
-struct alignas(std::max_align_t) Header {
-  std::uint64_t size;    // requested bytes, scope packed in the top byte
-  std::uint32_t offset;  // payload minus raw malloc pointer
-  std::uint32_t magic;
-};
-static_assert(sizeof(Header) == 16, "audit header must stay 16 bytes");
+namespace detail {
 
-constexpr std::uint32_t kMagic = 0x53414d41u;
-constexpr std::uint64_t kSizeMask = (1ull << 56) - 1;
+void register_hook() noexcept {
+  g_hook_linked.store(true, std::memory_order_relaxed);
+}
 
-void track(unsigned scope, std::size_t bytes) {
+unsigned current_scope() noexcept { return t_scope < kScopes ? t_scope : 0; }
+
+void count_alloc(unsigned scope, std::size_t bytes) noexcept {
   g_live[scope].fetch_add(static_cast<long long>(bytes),
                           std::memory_order_relaxed);
   g_allocs[scope].fetch_add(1, std::memory_order_relaxed);
@@ -58,7 +52,7 @@ void track(unsigned scope, std::size_t bytes) {
   }
 }
 
-void untrack(unsigned scope, std::size_t bytes) {
+void count_free(unsigned scope, std::size_t bytes) noexcept {
   g_live[scope].fetch_sub(static_cast<long long>(bytes),
                           std::memory_order_relaxed);
   g_frees[scope].fetch_add(1, std::memory_order_relaxed);
@@ -66,49 +60,7 @@ void untrack(unsigned scope, std::size_t bytes) {
                          std::memory_order_relaxed);
 }
 
-void* audit_alloc(std::size_t bytes, std::size_t align) noexcept {
-  if (align < alignof(std::max_align_t)) align = alignof(std::max_align_t);
-  // Room for the header plus worst-case alignment padding.
-  void* raw = std::malloc(bytes + align + sizeof(Header));
-  if (raw == nullptr) return nullptr;
-  const auto base = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t payload =
-      (base + sizeof(Header) + align - 1) & ~(align - 1);
-  auto* hdr = reinterpret_cast<Header*>(payload - sizeof(Header));
-  const unsigned scope = t_scope < kScopes ? t_scope : 0;
-  hdr->size = (static_cast<std::uint64_t>(bytes) & kSizeMask) |
-              (static_cast<std::uint64_t>(scope) << 56);
-  hdr->offset = static_cast<std::uint32_t>(payload - base);
-  hdr->magic = kMagic;
-  track(scope, bytes);
-  return reinterpret_cast<void*>(payload);
-}
-
-void audit_free(void* p) noexcept {
-  if (p == nullptr) return;
-  auto* hdr = reinterpret_cast<Header*>(static_cast<std::byte*>(p) -
-                                        sizeof(Header));
-  if (hdr->magic != kMagic) {
-    // Not one of ours (malloc'd memory fed to delete — already UB, but
-    // match the behavior the default operator delete would have had).
-    std::free(p);
-    return;
-  }
-  hdr->magic = 0;
-  untrack(static_cast<unsigned>(hdr->size >> 56),
-          static_cast<std::size_t>(hdr->size & kSizeMask));
-  std::free(static_cast<std::byte*>(p) - hdr->offset);
-}
-
-void* audit_alloc_or_throw(std::size_t bytes, std::size_t align) {
-  void* p = audit_alloc(bytes, align);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-#endif  // SPECTRA_MEMAUDIT
-
-}  // namespace
+}  // namespace detail
 
 const char* to_string(MemScopeId scope) {
   switch (scope) {
@@ -122,11 +74,7 @@ const char* to_string(MemScopeId scope) {
 }
 
 bool memaudit_enabled() {
-#if defined(SPECTRA_MEMAUDIT)
-  return true;
-#else
-  return false;
-#endif
+  return g_hook_linked.load(std::memory_order_relaxed);
 }
 
 MemCounters memaudit_scope(MemScopeId scope) {
@@ -178,67 +126,3 @@ MemScope::MemScope(MemScopeId scope) : prev_(t_scope) {
 MemScope::~MemScope() { t_scope = prev_; }
 
 }  // namespace spectra::obs
-
-#if defined(SPECTRA_MEMAUDIT)
-
-// Replacement global allocation functions. Defining any of these in a
-// program replaces the library versions for the whole binary (every TU),
-// so new/delete pairs always agree about the header. They live in this TU
-// next to the counters they feed; any binary that links a memaudit symbol
-// pulls them in.
-
-void* operator new(std::size_t n) {
-  return spectra::obs::audit_alloc_or_throw(n, alignof(std::max_align_t));
-}
-void* operator new[](std::size_t n) {
-  return spectra::obs::audit_alloc_or_throw(n, alignof(std::max_align_t));
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  return spectra::obs::audit_alloc_or_throw(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return spectra::obs::audit_alloc_or_throw(n, static_cast<std::size_t>(a));
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return spectra::obs::audit_alloc(n, alignof(std::max_align_t));
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return spectra::obs::audit_alloc(n, alignof(std::max_align_t));
-}
-void* operator new(std::size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  return spectra::obs::audit_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return spectra::obs::audit_alloc(n, static_cast<std::size_t>(a));
-}
-
-void operator delete(void* p) noexcept { spectra::obs::audit_free(p); }
-void operator delete[](void* p) noexcept { spectra::obs::audit_free(p); }
-void operator delete(void* p, std::size_t) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete[](void* p, std::size_t) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete(void* p, std::align_val_t) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  spectra::obs::audit_free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  spectra::obs::audit_free(p);
-}
-
-#endif  // SPECTRA_MEMAUDIT

@@ -14,11 +14,17 @@
 //     RAII MemScope guard (thread-local, so parallel island workers
 //     attribute independently).
 //
-// The hook is compiled in when SPECTRA_MEMAUDIT is defined (the default
-// build; sanitizer builds turn it off so ASan/TSan keep their own
-// allocator interposition). When disabled every query returns zeros and
-// memaudit_enabled() is false — tests that assert allocation counts skip
-// themselves.
+// The counters, MemScope and the queries below live in spectra_obs and are
+// in every binary; a MemScope guard costs one thread-local store. The hook
+// itself (memaudit_hook.cpp) is the spectra_memaudit object library, and
+// only binaries that measure allocations link it: fleet_scale (its memory
+// ladder and the fleet_mem_ceiling gate) and the test suites that count
+// allocations. Everything else, the daemon included, runs on the system
+// allocator. The hook registers itself before main(), so
+// memaudit_enabled() says whether this binary linked it. Sanitizer builds
+// never build the hook (ASan/TSan keep their own allocator interposition).
+// Without the hook every counter stays zero, and tests that assert
+// allocation counts skip themselves.
 //
 // The counters are relaxed atomics: totals are exact once threads join
 // (the executor barriers before anything reads them), and the per-tick
@@ -49,7 +55,7 @@ struct MemCounters {
   unsigned long long frees = 0;       // operator delete calls
 };
 
-// Whether the tracking hook is compiled into this binary.
+// Whether the tracking hook is linked into this binary.
 bool memaudit_enabled();
 
 MemCounters memaudit_scope(MemScopeId scope);

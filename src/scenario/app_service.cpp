@@ -1,5 +1,6 @@
 #include "scenario/app_service.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -83,14 +84,21 @@ std::size_t nullop_servers(const std::string& scenario) {
   // "<N>srv" selects the server count of the overhead testbed.
   const auto pos = scenario.find("srv");
   if (pos != std::string::npos && pos + 3 == scenario.size() && pos > 0) {
+    // Overhead servers take machine ids 1..N, which must stay below the
+    // file server's id (the bound `spectra overhead --servers` uses).
+    constexpr std::size_t kMaxServers = kFileServer - 1;
     std::size_t n = 0;
     for (char c : scenario.substr(0, pos)) {
       SPECTRA_REQUIRE(c >= '0' && c <= '9',
                       "unknown nullop scenario: " + scenario);
-      n = n * 10 + static_cast<std::size_t>(c - '0');
+      // Saturate, so that a long digit string cannot wrap into range.
+      n = std::min(n * 10 + static_cast<std::size_t>(c - '0'),
+                   kMaxServers + 1);
     }
-    SPECTRA_REQUIRE(n >= 1 && n <= 64,
-                    "nullop scenario wants 1-64 servers: " + scenario);
+    SPECTRA_REQUIRE(n >= 1 && n <= kMaxServers,
+                    "nullop scenario " + scenario +
+                        ": server count must be in [1, " +
+                        std::to_string(kMaxServers) + "]");
     return n;
   }
   SPECTRA_REQUIRE(false, "unknown nullop scenario: " + scenario +

@@ -707,7 +707,7 @@ DecisionCost pangloss_decision_cost(std::size_t budget, int warmup,
 // per-decision allocations, so their difference is the per-candidate cost.
 TEST(DecisionAllocationTest, ExtraEvaluationsAllocateNothing) {
   if (!obs::memaudit_enabled()) {
-    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+    GTEST_SKIP() << "memaudit hook not linked (sanitizer build)";
   }
   const DecisionCost wide = pangloss_decision_cost(192, 100, 100);
   const DecisionCost narrow = pangloss_decision_cost(64, 100, 100);

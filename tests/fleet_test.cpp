@@ -565,7 +565,7 @@ TEST(FleetDeterminism, TenThousandClientsFingerprintStableAcrossJobsUnderChaos) 
 
 TEST(FleetAllocationFree, SteadyStateTickAllocatesNothing) {
   if (!obs::memaudit_enabled()) {
-    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+    GTEST_SKIP() << "memaudit hook not linked (sanitizer build)";
   }
   // The memory-diet contract: once every arena and pre-reserved buffer has
   // seen its high-water mark, the tick pipeline (decision stage, admission

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "apps/janus.h"
 #include "apps/latex.h"
@@ -417,6 +418,9 @@ TEST(ReplayIntegrationTest, SeededFaultyRunReplaysBitIdentically) {
 
 // --------------------------------------------------------------- overhead
 
+// The wall-clock figures are compared by their minimum over five
+// interleaved repeats: preemption on a loaded host only ever adds time, so
+// one unlucky run cannot flip the order.
 TEST(OverheadIntegrationTest, OverheadGrowsWithServers) {
   OverheadExperiment::Config cfg0;
   cfg0.servers = 0;
@@ -424,11 +428,23 @@ TEST(OverheadIntegrationTest, OverheadGrowsWithServers) {
   OverheadExperiment::Config cfg5;
   cfg5.servers = 5;
   cfg5.measured_runs = 50;
-  const auto r0 = OverheadExperiment(cfg0).run();
-  const auto r5 = OverheadExperiment(cfg5).run();
-  EXPECT_GT(r5.total_ms, r0.total_ms);
-  EXPECT_GT(r5.choosing_ms, r0.choosing_ms);
-  EXPECT_GT(r5.virtual_decision_ms, r0.virtual_decision_ms);
+  std::vector<OverheadReport> r0;
+  std::vector<OverheadReport> r5;
+  for (int rep = 0; rep < 5; ++rep) {
+    r0.push_back(OverheadExperiment(cfg0).run());
+    r5.push_back(OverheadExperiment(cfg5).run());
+  }
+  const auto min_of = [](const std::vector<OverheadReport>& runs,
+                         double OverheadReport::*field) {
+    double least = runs.front().*field;
+    for (const OverheadReport& r : runs) least = std::min(least, r.*field);
+    return least;
+  };
+  EXPECT_GT(min_of(r5, &OverheadReport::total_ms),
+            min_of(r0, &OverheadReport::total_ms));
+  EXPECT_GT(min_of(r5, &OverheadReport::choosing_ms),
+            min_of(r0, &OverheadReport::choosing_ms));
+  EXPECT_GT(r5.front().virtual_decision_ms, r0.front().virtual_decision_ms);
 }
 
 TEST(OverheadIntegrationTest, FullCacheInflatesCachePrediction) {

@@ -366,7 +366,7 @@ TEST(MemAuditTest, PeakRssIsReported) {
 
 TEST(MemAuditTest, ScopeAttributesAllocationsAndFrees) {
   if (!memaudit_enabled()) {
-    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+    GTEST_SKIP() << "memaudit hook not linked (sanitizer build)";
   }
   const MemCounters before = memaudit_scope(MemScopeId::kFleetTick);
   void* block = nullptr;
@@ -386,7 +386,7 @@ TEST(MemAuditTest, ScopeAttributesAllocationsAndFrees) {
 
 TEST(MemAuditTest, FreeOutsideTheScopeCreditsTheAllocatingScope) {
   if (!memaudit_enabled()) {
-    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+    GTEST_SKIP() << "memaudit hook not linked (sanitizer build)";
   }
   const MemCounters before = memaudit_scope(MemScopeId::kScenario);
   void* block = nullptr;
@@ -404,7 +404,7 @@ TEST(MemAuditTest, FreeOutsideTheScopeCreditsTheAllocatingScope) {
 
 TEST(MemAuditTest, OveralignedAllocationsRoundTrip) {
   if (!memaudit_enabled()) {
-    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+    GTEST_SKIP() << "memaudit hook not linked (sanitizer build)";
   }
   const MemCounters before = memaudit_scope(MemScopeId::kFleetWorld);
   void* block = nullptr;
@@ -420,7 +420,7 @@ TEST(MemAuditTest, OveralignedAllocationsRoundTrip) {
 
 TEST(MemAuditTest, TotalsAndPeakTrackLiveBytes) {
   if (!memaudit_enabled()) {
-    GTEST_SKIP() << "memaudit compiled out (sanitizer build)";
+    GTEST_SKIP() << "memaudit hook not linked (sanitizer build)";
   }
   const auto peak0 = memaudit_peak_live_bytes();
   const long long live0 = memaudit_live_bytes();

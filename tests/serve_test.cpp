@@ -450,6 +450,30 @@ TEST(ServerTest, InBandErrorKeepsConnectionUsable) {
   EXPECT_TRUE(client.end_op().ok);
 }
 
+// Overhead servers take machine ids 1..N and the file server is id 9, so
+// "<N>srv" fits 1-8 servers; 9 and up is an in-band range error. 2^64 + 1
+// servers would wrap to 1 in unchecked arithmetic.
+TEST(ServerTest, NullopServerCountIsRangeChecked) {
+  ServerFixture fx;
+  BlockingClient client("127.0.0.1", fx.port());
+  client.hello("range");
+  for (const std::string scenario : {"9srv", "18446744073709551617srv"}) {
+    try {
+      client.register_app("nullop", scenario, 1);
+      ADD_FAILURE() << scenario << " was accepted";
+    } catch (const ServerError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.code(), ErrorCode::kGeneric);
+      EXPECT_NE(what.find(scenario), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 8]"), std::string::npos) << what;
+    }
+  }
+  // Same connection still works, at the largest count that fits.
+  EXPECT_EQ(client.register_app("nullop", "8srv", 1).op, "null.op");
+  EXPECT_TRUE(client.begin_op(BeginOpMsg{}).ok);
+  EXPECT_TRUE(client.end_op().ok);
+}
+
 TEST(ServerTest, ShutdownFrameStopsTheLoop) {
   ServerFixture fx;
   BlockingClient client("127.0.0.1", fx.port());
