@@ -16,21 +16,15 @@ using namespace spectra::scenario; // NOLINT
 
 namespace {
 
-using apps::JanusApp;
-
 std::string choice_after(SpeechScenario scenario, double settle) {
   SpeechExperiment::Config cfg;
   cfg.seed = 1000;
   cfg.scenario = SpeechScenario::kBaseline;  // train on baseline
-  SpeechExperiment exp(cfg);
+  const SpeechExperiment exp(cfg);
   auto world = exp.trained_world();
   apply(*world, scenario);  // the change happens NOW
   world->settle(settle);
-  const auto choice = world->spectra().begin_fidelity_op(
-      JanusApp::kOperation, {{"utt_len", 2.0}});
-  world->janus().execute(world->spectra(), 2.0);
-  world->spectra().end_fidelity_op();
-  return SpeechExperiment::label(choice.alternative);
+  return SpeechExperiment::label(exp.run_spectra_on(*world).choice.alternative);
 }
 
 }  // namespace

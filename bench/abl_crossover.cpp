@@ -21,8 +21,6 @@ using namespace spectra::scenario; // NOLINT
 
 namespace {
 
-using apps::JanusApp;
-
 struct SweepPoint {
   std::string best;
   double best_time = 0.0;
@@ -79,12 +77,9 @@ SweepPoint sweep_point(scenario::BatchRunner& batch,
     auto world = exp.trained_world();
     knob(*world);
     world->settle(12.0);
-    const auto choice = world->spectra().begin_fidelity_op(
-        JanusApp::kOperation, {{"utt_len", 2.0}});
-    world->janus().execute(world->spectra(), 2.0);
-    const auto usage = world->spectra().end_fidelity_op();
-    out.spectra = SpeechExperiment::label(choice.alternative);
-    out.spectra_time = usage.elapsed;
+    const MeasuredRun run = exp.run_spectra_on(*world);
+    out.spectra = SpeechExperiment::label(run.choice.alternative);
+    out.spectra_time = run.time;
   }
   return out;
 }

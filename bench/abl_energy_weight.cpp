@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "monitor/battery_monitor.h"
 #include "scenario/experiment.h"
 
 using namespace spectra;           // NOLINT
@@ -17,23 +16,16 @@ using namespace spectra::scenario; // NOLINT
 
 namespace {
 
-std::string choice_at(double c, double k) {
+// Spectra's choice for a 2 s utterance on battery with c pinned (k is
+// fixed at registration).
+std::string choice_at(double c) {
   SpeechExperiment::Config cfg;
-  cfg.scenario = SpeechScenario::kBaseline;
   cfg.seed = 1000;
-  core::SpectraClientConfig* unused = nullptr;
-  (void)unused;
-  SpeechExperiment exp(cfg);
+  const SpeechExperiment exp(cfg);
   auto world = exp.trained_world();
   world->client_machine().set_on_battery(true);
   pin_energy_importance(*world, c);
-  (void)k;  // k is fixed at registration; swept via separate worlds below
-  auto& spectra = world->spectra();
-  const auto choice = spectra.begin_fidelity_op(
-      apps::JanusApp::kOperation, {{"utt_len", 2.0}});
-  world->janus().execute(spectra, 2.0);
-  spectra.end_fidelity_op();
-  return SpeechExperiment::label(choice.alternative);
+  return SpeechExperiment::label(exp.run_spectra_on(*world).choice.alternative);
 }
 
 }  // namespace
@@ -46,7 +38,7 @@ int main(int argc, char** argv) {
   table.set_header({"c", "Spectra's choice"});
   const std::vector<double> cs = {0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0};
   const auto choices = batch.map(
-      cs.size(), [&](std::size_t i) { return choice_at(cs[i], 10.0); });
+      cs.size(), [&](std::size_t i) { return choice_at(cs[i]); });
   for (std::size_t i = 0; i < cs.size(); ++i) {
     table.add_row({util::Table::num(cs[i], 1), choices[i]});
   }

@@ -30,8 +30,6 @@ using namespace spectra::scenario;  // NOLINT
 
 namespace {
 
-using apps::LatexApp;
-
 struct PolicyResult {
   Aggregate recovery;   // elapsed of the interrupted op
   Aggregate follow_up;  // elapsed of the next op after the crash
@@ -53,11 +51,12 @@ Trial run_trial(std::uint64_t seed, bool health_aware, bool crash_both) {
       c.health.enabled = false;
     };
   }
-  auto w = LatexExperiment(cfg).trained_world();
+  const LatexExperiment exp(cfg);
+  auto w = exp.trained_world();
   auto& spectra = w->spectra();
 
-  const auto choice =
-      spectra.begin_fidelity_op(LatexApp::kOperation, {}, "small");
+  const Latex::Input doc("small");
+  const auto choice = Latex::begin(*w, doc);
   if (!choice.ok || choice.alternative.server < 0) return {};
   fault::FaultPlan plan;
   for (MachineId sid : {kServerA, kServerB}) {
@@ -73,16 +72,14 @@ Trial run_trial(std::uint64_t seed, bool health_aware, bool crash_both) {
 
   Trial t;
   const double t0 = w->engine().now();
-  w->latex().execute(spectra, "small");
+  Latex::execute(*w, doc);
   // Degrading adopts the co-located server under the client's own id.
   t.fell_back_local = spectra.current_choice().alternative.server <= kClient;
   spectra.end_fidelity_op();
   t.recovery_s = w->engine().now() - t0;
 
   const double t1 = w->engine().now();
-  spectra.begin_fidelity_op(LatexApp::kOperation, {}, "small");
-  w->latex().execute(spectra, "small");
-  spectra.end_fidelity_op();
+  exp.run_spectra_on(*w);
   t.follow_up_s = w->engine().now() - t1;
   return t;
 }

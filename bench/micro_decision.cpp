@@ -30,8 +30,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "apps/janus.h"
-#include "apps/pangloss.h"
 #include "predict/numeric.h"
 #include "predict/operation_model.h"
 #include "scenario/experiment.h"
@@ -139,13 +137,18 @@ std::unique_ptr<World> nullop_world(std::size_t servers) {
     local.plan = 0;
     local.fidelity["level"] = 1.0;
     world->spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world->spectra().do_local_op(kNullOp, req);
+    NullOp::execute(*world);
     world->spectra().end_fidelity_op();
   }
   return world;
+}
+
+// The trained world of App's default experiment at seed 1.
+template <typename App>
+std::unique_ptr<World> trained_world() {
+  typename Experiment<App>::Config cfg;
+  cfg.seed = 1;
+  return Experiment<App>(cfg).trained_world();
 }
 
 DecisionSample sample_from(const core::OperationChoice& choice, double t0,
@@ -158,6 +161,22 @@ DecisionSample sample_from(const core::OperationChoice& choice, double t0,
   s.memo_hits = choice.memo_hits;
   s.candidate_servers = choice.candidate_servers;
   return s;
+}
+
+// `name`: decisions of App's operation on `input` in `world`, each timed
+// around begin; the operation then executes and ends untimed.
+template <typename App>
+ScenarioResult decide(const std::string& name, World& world,
+                      const typename App::Input& input, int decisions,
+                      int reps) {
+  return run_scenario(name, decisions, reps, [&] {
+    const double t0 = wall_ms();
+    const auto choice = App::begin(world, input);
+    const double t1 = wall_ms();
+    App::execute(world, input);
+    world.spectra().end_fidelity_op();
+    return sample_from(choice, t0, t1);
+  });
 }
 
 // ------------------------------------------------------ model components
@@ -254,53 +273,12 @@ int main(int argc, char** argv) {
     if (arg.rfind("--reps=", 0) == 0) reps = std::atoi(arg.c_str() + 7);
   }
   std::vector<ScenarioResult> results;
-
-  {
-    auto world = nullop_world(1);
-    results.push_back(run_scenario("nullop_1srv", decisions, reps, [&] {
-      const double t0 = wall_ms();
-      const auto choice = world->spectra().begin_fidelity_op(kNullOp, {});
-      const double t1 = wall_ms();
-      rpc::Request req;
-      req.op_type = kNullOp;
-      req.payload = 64.0;
-      world->spectra().do_local_op(kNullOp, req);
-      world->spectra().end_fidelity_op();
-      return sample_from(choice, t0, t1);
-    }));
-  }
-
-  {
-    SpeechExperiment::Config cfg;
-    cfg.seed = 1;
-    SpeechExperiment exp(cfg);
-    auto world = exp.trained_world();
-    results.push_back(run_scenario("speech", decisions, reps, [&] {
-      const double t0 = wall_ms();
-      const auto choice = world->spectra().begin_fidelity_op(
-          apps::JanusApp::kOperation, {{"utt_len", 2.0}});
-      const double t1 = wall_ms();
-      world->janus().execute(world->spectra(), 2.0);
-      world->spectra().end_fidelity_op();
-      return sample_from(choice, t0, t1);
-    }));
-  }
-
-  {
-    PanglossExperiment::Config cfg;
-    cfg.seed = 1;
-    PanglossExperiment exp(cfg);
-    auto world = exp.trained_world();
-    results.push_back(run_scenario("pangloss", decisions, reps, [&] {
-      const double t0 = wall_ms();
-      const auto choice = world->spectra().begin_fidelity_op(
-          apps::PanglossApp::kOperation, {{"words", 12.0}});
-      const double t1 = wall_ms();
-      world->pangloss().execute(world->spectra(), 12);
-      world->spectra().end_fidelity_op();
-      return sample_from(choice, t0, t1);
-    }));
-  }
+  results.push_back(
+      decide<NullOp>("nullop_1srv", *nullop_world(1), {}, decisions, reps));
+  results.push_back(decide<Speech>("speech", *trained_world<Speech>(),
+                                   Speech::Input(2.0), decisions, reps));
+  results.push_back(decide<Pangloss>("pangloss", *trained_world<Pangloss>(),
+                                     Pangloss::Input(12), decisions, reps));
 
   util::Table table("micro_decision: begin_fidelity_op hot path (wall-clock)");
   table.set_header({"scenario", "decisions/s", "mean ms", "p50 ms", "p95 ms",

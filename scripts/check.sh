@@ -50,15 +50,19 @@ echo "== tier-1: ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
 
 echo "== serve smoke =="
-# A real daemon on loopback: 64 concurrent loadgen sessions, a recorded
-# trace replayed byte-identically both over the wire and in-process, a
-# clean SIGINT shutdown (sinks flushed, exit 130), and a throughput gate
-# against serve_floor in scripts/perf_baseline.json.
+# A real daemon on loopback: 64 concurrent nullop loadgen sessions and 4 of
+# each simulated app, their record replayed byte-identically over the wire
+# and in-process, a clean SIGINT shutdown (sinks flushed, exit 130), and a
+# nullop throughput gate against serve_floor in scripts/perf_baseline.json.
 SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$SERVE_TMP"' EXIT
 start_daemon "$SERVE_TMP/serve.log" --record="$SERVE_TMP/rec.jsonl"
 "$BUILD/src/cli/spectra" loadgen --port="$PORT" --clients=64 --ops=4 \
     --json="$SERVE_TMP/loadgen.json" >/dev/null
+for app in speech latex pangloss; do
+  "$BUILD/src/cli/spectra" loadgen --port="$PORT" --app="$app" --clients=4 \
+      --ops=4 >/dev/null
+done
 cp "$SERVE_TMP/rec.jsonl" "$SERVE_TMP/rec_snapshot.jsonl"
 "$BUILD/src/cli/spectra" replay "$SERVE_TMP/rec_snapshot.jsonl" --port="$PORT" >/dev/null
 kill -INT "$SERVE_PID"

@@ -139,15 +139,6 @@ void JanusApp::execute(core::SpectraClient& client,
   }
 }
 
-monitor::OperationUsage JanusApp::run(core::SpectraClient& client,
-                                      double utterance_seconds) const {
-  std::map<std::string, double> params{{"utt_len", utterance_seconds}};
-  const auto choice = client.begin_fidelity_op(kOperation, params);
-  SPECTRA_REQUIRE(choice.ok, "Spectra produced no choice for Janus");
-  execute(client, utterance_seconds);
-  return client.end_fidelity_op();
-}
-
 void JanusApp::copy_state_from(const JanusApp& src) {
   SPECTRA_REQUIRE(noise_.size() == src.noise_.size(),
                   "janus app mismatch in copy_state_from");

@@ -86,9 +86,6 @@ class JanusApp {
   // with begin_fidelity_op / end_fidelity_op.
   void execute(core::SpectraClient& client, double utterance_seconds) const;
 
-  // begin + execute + end, with Spectra choosing.
-  monitor::OperationUsage run(core::SpectraClient& client,
-                              double utterance_seconds) const;
   // begin(forced) + execute + end, for training and oracle measurement.
   monitor::OperationUsage run_forced(core::SpectraClient& client,
                                      double utterance_seconds,

@@ -114,14 +114,6 @@ void LatexApp::execute(core::SpectraClient& client,
   SPECTRA_ENSURE(resp.ok, "latex run failed: " + resp.error);
 }
 
-monitor::OperationUsage LatexApp::run(core::SpectraClient& client,
-                                      const std::string& doc) const {
-  const auto choice = client.begin_fidelity_op(kOperation, {}, doc);
-  SPECTRA_REQUIRE(choice.ok, "Spectra produced no choice for Latex");
-  execute(client, doc);
-  return client.end_fidelity_op();
-}
-
 void LatexApp::copy_state_from(const LatexApp& src) {
   SPECTRA_REQUIRE(noise_.size() == src.noise_.size(),
                   "latex app mismatch in copy_state_from");

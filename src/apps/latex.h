@@ -64,8 +64,6 @@ class LatexApp {
                                          hw::MachineId server = -1);
 
   void execute(core::SpectraClient& client, const std::string& doc) const;
-  monitor::OperationUsage run(core::SpectraClient& client,
-                              const std::string& doc) const;
   monitor::OperationUsage run_forced(core::SpectraClient& client,
                                      const std::string& doc,
                                      const solver::Alternative& alt) const;

@@ -166,15 +166,6 @@ void PanglossApp::execute(core::SpectraClient& client, int words) const {
   }
 }
 
-monitor::OperationUsage PanglossApp::run(core::SpectraClient& client,
-                                         int words) const {
-  std::map<std::string, double> params{{"words", static_cast<double>(words)}};
-  const auto choice = client.begin_fidelity_op(kOperation, params);
-  SPECTRA_REQUIRE(choice.ok, "Spectra produced no choice for Pangloss");
-  execute(client, words);
-  return client.end_fidelity_op();
-}
-
 void PanglossApp::copy_state_from(const PanglossApp& src) {
   SPECTRA_REQUIRE(noise_.size() == src.noise_.size(),
                   "pangloss app mismatch in copy_state_from");

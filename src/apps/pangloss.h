@@ -97,7 +97,6 @@ class PanglossApp {
                        predict::FeatureVector& out);
 
   void execute(core::SpectraClient& client, int words) const;
-  monitor::OperationUsage run(core::SpectraClient& client, int words) const;
   monitor::OperationUsage run_forced(core::SpectraClient& client, int words,
                                      const solver::Alternative& alt) const;
 

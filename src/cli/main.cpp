@@ -136,18 +136,6 @@ scenarios:
   return 0;
 }
 
-SpeechScenario speech_scenario(const Args& args) {
-  return parse_scenario(args.get("scenario", "baseline"), kSpeechScenarios);
-}
-
-LatexScenario latex_scenario(const Args& args) {
-  return parse_scenario(args.get("scenario", "baseline"), kLatexScenarios);
-}
-
-PanglossScenario pangloss_scenario(const Args& args) {
-  return parse_scenario(args.get("scenario", "baseline"), kPanglossScenarios);
-}
-
 // Worker count for batch commands: --jobs, else SPECTRA_JOBS, else 1.
 // 0 means one worker per hardware thread.
 std::size_t jobs_arg(const Args& args) {
@@ -208,26 +196,50 @@ CliObs obs_args(const Args& args) {
 // the cap only stops a typo from asking for millions.
 constexpr long kMaxTrials = 1000;
 
-// Sweep a run command's experiment over --trials seeds from --seed, with
-// the shared --fault-plan / --health / --failover settings; `configure`
-// sets the command's own fields.
-template <typename Experiment, typename Configure>
+void set_input(const Args& args, SpeechExperiment::Config& cfg) {
+  cfg.test_utterance_s = args.get_double("utterance", 2.0);
+}
+
+void set_input(const Args& args, LatexExperiment::Config& cfg) {
+  cfg.doc = args.get("doc", "small");
+}
+
+void set_input(const Args& args, PanglossExperiment::Config& cfg) {
+  // Checked before --words narrows to int.
+  cfg.test_words =
+      Pangloss::Input(static_cast<double>(args.get_int("words", 10))).words;
+}
+
+// A run or explain command's configuration: --scenario and the app's input.
+template <typename App>
+typename Experiment<App>::Config app_config(const Args& args) {
+  typename Experiment<App>::Config cfg;
+  cfg.scenario =
+      parse_scenario(args.get("scenario", "baseline"), App::kScenarios);
+  set_input(args, cfg);
+  (void)cfg.input();  // range-check before any work
+  return cfg;
+}
+
+// Sweep `cfg` over --trials seeds from --seed, with the shared
+// --fault-plan / --health / --failover settings.
+template <typename App>
 SweepResult run_sweep(const Args& args, long default_trials,
-                      obs::Observability* session, Configure&& configure) {
+                      obs::Observability* session,
+                      typename Experiment<App>::Config cfg) {
   const auto seeds =
       trial_seeds(static_cast<std::uint64_t>(args.get_int("seed", 1000)),
                   args.get_count("trials", default_trials, kMaxTrials));
+  cfg.fault_plan = fault_plan_arg(args);
+  cfg.spectra_overrides = resilience_overrides(args);
   BatchRunner batch(jobs_arg(args));
-  return sweep<Experiment>(
+  return sweep<Experiment<App>>(
       batch, session, seeds,
       [&](std::uint64_t seed, obs::Observability* trial_obs) {
-        typename Experiment::Config cfg;
-        configure(cfg);
-        cfg.seed = seed;
-        cfg.fault_plan = fault_plan_arg(args);
-        cfg.spectra_overrides = resilience_overrides(args);
-        cfg.obs = trial_obs;
-        return cfg;
+        auto trial = cfg;
+        trial.seed = seed;
+        trial.obs = trial_obs;
+        return trial;
       });
 }
 
@@ -241,48 +253,32 @@ void print_time_energy_table(const SweepResult& result,
 }
 
 int cmd_speech(const Args& args) {
-  const auto sc = speech_scenario(args);
+  const auto cfg = app_config<Speech>(args);
   CliObs obs = obs_args(args);
-  const SweepResult result = run_sweep<SpeechExperiment>(
-      args, 3, obs.ptr(), [&](SpeechExperiment::Config& cfg) {
-        cfg.scenario = sc;
-        cfg.test_utterance_s = args.get_double("utterance", 2.0);
-      });
-  print_time_energy_table(result,
-                          "Speech recognition — scenario: " + name(sc));
+  print_time_energy_table(run_sweep<Speech>(args, 3, obs.ptr(), cfg),
+                          "Speech recognition — scenario: " +
+                              name(cfg.scenario));
   obs.finish();
   return 0;
 }
 
 int cmd_latex(const Args& args) {
-  const auto sc = latex_scenario(args);
-  const std::string doc = args.get("doc", "small");
-  SPECTRA_REQUIRE(doc == "small" || doc == "large",
-                  "--doc must be small or large");
+  const auto cfg = app_config<Latex>(args);
   CliObs obs = obs_args(args);
-  const SweepResult result = run_sweep<LatexExperiment>(
-      args, 3, obs.ptr(), [&](LatexExperiment::Config& cfg) {
-        cfg.scenario = sc;
-        cfg.doc = doc;
-      });
-  print_time_energy_table(
-      result, "Latex (" + doc + " document) — scenario: " + name(sc));
+  print_time_energy_table(run_sweep<Latex>(args, 3, obs.ptr(), cfg),
+                          "Latex (" + cfg.doc + " document) — scenario: " +
+                              name(cfg.scenario));
   obs.finish();
   return 0;
 }
 
 int cmd_pangloss(const Args& args) {
-  const auto sc = pangloss_scenario(args);
-  const int words = static_cast<int>(args.get_int("words", 10));
+  const auto cfg = app_config<Pangloss>(args);
   CliObs obs = obs_args(args);
-  const SweepResult result = run_sweep<PanglossExperiment>(
-      args, 1, obs.ptr(), [&](PanglossExperiment::Config& cfg) {
-        cfg.scenario = sc;
-        cfg.test_words = words;
-      });
-  std::cout << pangloss_table(result, "Pangloss-Lite (" +
-                                          std::to_string(words) +
-                                          " words) — scenario: " + name(sc));
+  std::cout << pangloss_table(run_sweep<Pangloss>(args, 1, obs.ptr(), cfg),
+                              "Pangloss-Lite (" +
+                                  std::to_string(cfg.test_words) +
+                                  " words) — scenario: " + name(cfg.scenario));
   obs.finish();
   return 0;
 }
@@ -321,61 +317,38 @@ int cmd_overhead(const Args& args) {
   return 0;
 }
 
+// Train App's world, run one Spectra operation on the flags' input, and
+// print its decision trace.
+template <typename App>
+void explain(const Args& args, obs::Observability* obs) {
+  auto cfg = app_config<App>(args);
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1000));
+  cfg.obs = obs;
+  cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
+    c.trace_decisions = true;
+  };
+  const Experiment<App> experiment(cfg);
+  const auto world = experiment.trained_world();
+  experiment.run_spectra_on(*world);
+  const auto* trace = world->spectra().last_decision_trace();
+  SPECTRA_REQUIRE(trace != nullptr, "no decision trace captured");
+  std::cout << trace->to_string();
+}
+
 int cmd_explain(const Args& args) {
   SPECTRA_REQUIRE(!args.positionals().empty(),
                   "explain needs an application: speech|latex|pangloss");
   const std::string app = args.positionals()[0];
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1000));
   CliObs obs = obs_args(args);
-
-  std::unique_ptr<World> world;
-  if (app == "speech") {
-    SpeechExperiment::Config cfg;
-    cfg.scenario = speech_scenario(args);
-    cfg.seed = seed;
-    cfg.obs = obs.ptr();
-    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
-      c.trace_decisions = true;
-    };
-    world = SpeechExperiment(cfg).trained_world();
-    world->spectra().begin_fidelity_op(
-        apps::JanusApp::kOperation,
-        {{"utt_len", args.get_double("utterance", 2.0)}});
-    world->janus().execute(world->spectra(),
-                           args.get_double("utterance", 2.0));
-  } else if (app == "latex") {
-    LatexExperiment::Config cfg;
-    cfg.scenario = latex_scenario(args);
-    cfg.seed = seed;
-    cfg.obs = obs.ptr();
-    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
-      c.trace_decisions = true;
-    };
-    world = LatexExperiment(cfg).trained_world();
-    const std::string doc = args.get("doc", "small");
-    world->spectra().begin_fidelity_op(apps::LatexApp::kOperation, {}, doc);
-    world->latex().execute(world->spectra(), doc);
-  } else if (app == "pangloss") {
-    PanglossExperiment::Config cfg;
-    cfg.scenario = pangloss_scenario(args);
-    cfg.seed = seed;
-    cfg.obs = obs.ptr();
-    cfg.spectra_overrides = [](core::SpectraClientConfig& c) {
-      c.trace_decisions = true;
-    };
-    world = PanglossExperiment(cfg).trained_world();
-    const int words = static_cast<int>(args.get_int("words", 10));
-    world->spectra().begin_fidelity_op(
-        apps::PanglossApp::kOperation,
-        {{"words", static_cast<double>(words)}});
-    world->pangloss().execute(world->spectra(), words);
+  if (app == Speech::kName) {
+    explain<Speech>(args, obs.ptr());
+  } else if (app == Latex::kName) {
+    explain<Latex>(args, obs.ptr());
+  } else if (app == Pangloss::kName) {
+    explain<Pangloss>(args, obs.ptr());
   } else {
     SPECTRA_REQUIRE(false, "unknown application: " + app);
   }
-  world->spectra().end_fidelity_op();
-  const auto* trace = world->spectra().last_decision_trace();
-  SPECTRA_REQUIRE(trace != nullptr, "no decision trace captured");
-  std::cout << trace->to_string();
   obs.finish();
   return 0;
 }
@@ -383,17 +356,13 @@ int cmd_explain(const Args& args) {
 int cmd_chaos(const Args& args) {
   const std::string app_arg = args.get("app", "all");
   std::vector<SoakApp> apps_to_soak;
-  if (app_arg == "all") {
-    apps_to_soak = {SoakApp::kSpeech, SoakApp::kLatex, SoakApp::kPangloss};
-  } else if (app_arg == "speech") {
-    apps_to_soak = {SoakApp::kSpeech};
-  } else if (app_arg == "latex") {
-    apps_to_soak = {SoakApp::kLatex};
-  } else if (app_arg == "pangloss") {
-    apps_to_soak = {SoakApp::kPangloss};
-  } else {
-    SPECTRA_REQUIRE(false, "--app must be speech, latex, pangloss, or all");
+  for (SoakApp app : {SoakApp::kSpeech, SoakApp::kLatex, SoakApp::kPangloss}) {
+    if (app_arg == "all" || app_arg == to_string(app)) {
+      apps_to_soak.push_back(app);
+    }
   }
+  SPECTRA_REQUIRE(!apps_to_soak.empty(),
+                  "--app must be speech, latex, pangloss, or all");
 
   CliObs obs = obs_args(args);
   BatchRunner batch(jobs_arg(args));
@@ -418,9 +387,8 @@ int cmd_chaos(const Args& args) {
     for (const std::string& v : report.all_violations()) {
       std::cout << "  violation: " << v << "\n";
     }
-    bool replays_ok = true;
-    for (const auto& p : report.plans) replays_ok &= p.replay_identical;
-    clean = clean && report.clean() && replays_ok;
+    // A replay mismatch is one of the report's violations.
+    clean = clean && report.clean();
     json << report.to_json();
   }
   json << "]\n";

@@ -1,27 +1,21 @@
 #include "scenario/app_service.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "apps/janus.h"
-#include "apps/latex.h"
-#include "apps/pangloss.h"
 #include "scenario/batch.h"
 #include "scenario/experiment.h"
 #include "scenario/scenarios.h"
 #include "scenario/world.h"
-#include "solver/utility.h"
 #include "util/assert.h"
 
 namespace spectra::scenario {
 namespace {
-
-enum class ServiceApp { kNullop, kSpeech, kLatex, kPangloss };
 
 // ---- nullop world (the Fig-10 overhead testbed as a service) -------------
 
@@ -69,10 +63,7 @@ std::unique_ptr<World> build_nullop_world(std::size_t servers,
   for (int i = 0; i < runs; ++i) {
     world->spectra().begin_fidelity_op_forced(
         kNullOp, {}, "", alts[static_cast<std::size_t>(i) % alts.size()]);
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world->spectra().do_local_op(kNullOp, req);
+    NullOp::execute(*world);
     world->spectra().end_fidelity_op();
   }
   world->settle(2.0);
@@ -122,23 +113,21 @@ std::unique_ptr<World> nullop_session_world(const std::string& scenario,
 
 // ---- the session ---------------------------------------------------------
 
-class WorldDecisionService : public core::DecisionService {
+// A trained world serving App's operation, one operation at a time. The
+// request's input is range-checked (App::input) before any decision.
+template <typename App>
+class Session : public core::DecisionService {
  public:
-  WorldDecisionService(ServiceApp app, std::string app_name,
-                       std::string scenario, std::uint64_t seed,
-                       std::unique_ptr<World> world)
-      : app_(app),
-        app_name_(std::move(app_name)),
-        scenario_(std::move(scenario)),
-        seed_(seed),
-        world_(std::move(world)) {}
+  Session(std::string scenario, std::uint64_t seed,
+          std::unique_ptr<World> world)
+      : scenario_(std::move(scenario)), seed_(seed), world_(std::move(world)) {}
 
   core::ServiceStatus status() const override {
     core::ServiceStatus s;
-    s.app = app_name_;
+    s.app = App::kName;
     s.scenario = scenario_;
     s.seed = seed_;
-    s.op = op_name();
+    s.op = App::kOperation;
     s.ops_begun = ops_begun_;
     s.ops_completed = ops_completed_;
     s.op_in_progress = world_->spectra().op_in_progress();
@@ -150,60 +139,17 @@ class WorldDecisionService : public core::DecisionService {
       const core::ServiceBeginRequest& request) override {
     SPECTRA_REQUIRE(!world_->spectra().op_in_progress(),
                     "operation already in progress in this session");
-    SPECTRA_REQUIRE(request.op.empty() || request.op == op_name(),
-                    "session serves operation " + std::string(op_name()) +
+    SPECTRA_REQUIRE(request.op.empty() || request.op == App::kOperation,
+                    "session serves operation " + std::string(App::kOperation) +
                         ", not " + request.op);
-    core::SpectraClient& spectra = world_->spectra();
-    core::OperationChoice choice;
-    switch (app_) {
-      case ServiceApp::kNullop: {
-        choice = spectra.begin_fidelity_op(kNullOp, request.params);
-        pending_ = [this] {
-          rpc::Request req;
-          req.op_type = kNullOp;
-          req.payload = 64.0;
-          world_->spectra().do_local_op(kNullOp, req);
-        };
-        break;
-      }
-      case ServiceApp::kSpeech: {
-        const double utt = param_or(request, "utt_len", 2.0);
-        choice = spectra.begin_fidelity_op(apps::JanusApp::kOperation,
-                                           {{"utt_len", utt}});
-        pending_ = [this, utt] {
-          world_->janus().execute(world_->spectra(), utt);
-        };
-        break;
-      }
-      case ServiceApp::kLatex: {
-        const std::string doc =
-            request.data_tag.empty() ? "small" : request.data_tag;
-        SPECTRA_REQUIRE(doc == "small" || doc == "large",
-                        "latex data tag must be small or large, got: " + doc);
-        choice = spectra.begin_fidelity_op(apps::LatexApp::kOperation, {}, doc);
-        pending_ = [this, doc] {
-          world_->latex().execute(world_->spectra(), doc);
-        };
-        break;
-      }
-      case ServiceApp::kPangloss: {
-        const int words =
-            static_cast<int>(param_or(request, "words", 10.0));
-        SPECTRA_REQUIRE(words >= 1, "pangloss needs words >= 1");
-        choice = spectra.begin_fidelity_op(
-            apps::PanglossApp::kOperation,
-            {{"words", static_cast<double>(words)}});
-        pending_ = [this, words] {
-          world_->pangloss().execute(world_->spectra(), words);
-        };
-        break;
-      }
-    }
+    typename App::Input input = App::input(request);
+    const core::OperationChoice choice = App::begin(*world_, input);
     SPECTRA_REQUIRE(choice.ok, "no feasible alternative for " +
-                                   std::string(op_name()));
+                                   std::string(App::kOperation));
+    pending_ = std::move(input);
     ++ops_begun_;
 
-    const auto& desc = spectra.operation_desc(op_name());
+    const auto& desc = world_->spectra().operation_desc(App::kOperation);
     core::ServiceDecision d;
     d.ok = true;
     d.from_model = choice.from_model;
@@ -222,10 +168,10 @@ class WorldDecisionService : public core::DecisionService {
   core::ServiceOpResult end_op() override {
     SPECTRA_REQUIRE(world_->spectra().op_in_progress() && pending_,
                     "no operation in progress in this session");
-    auto run = std::move(pending_);
-    pending_ = nullptr;
+    const typename App::Input input = std::move(*pending_);
+    pending_.reset();
     try {
-      run();
+      App::execute(*world_, input);
     } catch (...) {
       // Abort the in-flight fidelity op so the session returns to a usable
       // idle state; otherwise op_in_progress stays true with pending_ gone
@@ -251,69 +197,37 @@ class WorldDecisionService : public core::DecisionService {
   }
 
  private:
-  const char* op_name() const {
-    switch (app_) {
-      case ServiceApp::kNullop:
-        return kNullOp;
-      case ServiceApp::kSpeech:
-        return apps::JanusApp::kOperation;
-      case ServiceApp::kLatex:
-        return apps::LatexApp::kOperation;
-      case ServiceApp::kPangloss:
-        return apps::PanglossApp::kOperation;
-    }
-    return "";
-  }
-
-  static double param_or(const core::ServiceBeginRequest& request,
-                         const std::string& name, double def) {
-    auto it = request.params.find(name);
-    return it == request.params.end() ? def : it->second;
-  }
-
-  ServiceApp app_;
-  std::string app_name_;
   std::string scenario_;
   std::uint64_t seed_;
   std::unique_ptr<World> world_;
-  std::function<void()> pending_;
+  std::optional<typename App::Input> pending_;  // begun, not yet executed
   std::uint64_t ops_begun_ = 0;
   std::uint64_t ops_completed_ = 0;
 };
+
+// A session of App under `scenario`, on the world each of its experiment's
+// measured runs gets.
+template <typename App>
+std::unique_ptr<core::DecisionService> app_session(const std::string& scenario,
+                                                   std::uint64_t seed) {
+  typename Experiment<App>::Config cfg;
+  cfg.scenario = parse_scenario(scenario, App::kScenarios);
+  cfg.seed = seed;
+  return std::make_unique<Session<App>>(name(cfg.scenario), seed,
+                                        Experiment<App>(cfg).session_world());
+}
 
 std::unique_ptr<core::DecisionService> make_session(const std::string& app,
                                                     const std::string& scenario,
                                                     std::uint64_t seed) {
   const std::string scenario_name = scenario.empty() ? "baseline" : scenario;
-  if (app == "nullop" || app.empty()) {
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kNullop, "nullop", scenario_name, seed,
-        nullop_session_world(scenario, seed));
+  if (app == NullOp::kName || app.empty()) {
+    return std::make_unique<Session<NullOp>>(
+        scenario_name, seed, nullop_session_world(scenario, seed));
   }
-  if (app == "speech") {
-    SpeechExperiment::Config cfg;
-    cfg.scenario = parse_scenario(scenario_name, kSpeechScenarios);
-    cfg.seed = seed;
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kSpeech, "speech", name(cfg.scenario), seed,
-        SpeechExperiment(cfg).session_world());
-  }
-  if (app == "latex") {
-    LatexExperiment::Config cfg;
-    cfg.scenario = parse_scenario(scenario_name, kLatexScenarios);
-    cfg.seed = seed;
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kLatex, "latex", name(cfg.scenario), seed,
-        LatexExperiment(cfg).session_world());
-  }
-  if (app == "pangloss") {
-    PanglossExperiment::Config cfg;
-    cfg.scenario = parse_scenario(scenario_name, kPanglossScenarios);
-    cfg.seed = seed;
-    return std::make_unique<WorldDecisionService>(
-        ServiceApp::kPangloss, "pangloss", name(cfg.scenario), seed,
-        PanglossExperiment(cfg).session_world());
-  }
+  if (app == Speech::kName) return app_session<Speech>(scenario_name, seed);
+  if (app == Latex::kName) return app_session<Latex>(scenario_name, seed);
+  if (app == Pangloss::kName) return app_session<Pangloss>(scenario_name, seed);
   SPECTRA_REQUIRE(false, "unknown app: " + app +
                              " (use nullop, speech, latex, or pangloss)");
   return nullptr;

@@ -68,20 +68,6 @@ class PhaseTimer {
   util::Seconds virt0_;
 };
 
-// Shared template acquisition: globally cacheable configurations (no
-// observability, no overrides, no fault plan) go through the process-wide
-// TrainedWorldCache so several experiment instances with the same training
-// shape — e.g. one per test sentence — share one trained world; everything
-// else trains at most once per experiment instance.
-std::shared_ptr<const World> acquire_template(
-    bool cacheable, const std::string& key, std::once_flag& once,
-    std::shared_ptr<const World>& slot,
-    const std::function<std::unique_ptr<World>()>& build) {
-  if (cacheable) return TrainedWorldCache::instance().get(key, build);
-  std::call_once(once, [&] { slot = build(); });
-  return slot;
-}
-
 // Clone a trained template for one measurement run, recording what the
 // reuse path actually costs as phase.clone.wall_ms. Wall-only on purpose:
 // a clone advances no virtual time, and wall-suffixed metrics stay out of
@@ -97,11 +83,35 @@ std::unique_ptr<World> clone_template(const World& tmpl,
   return world;
 }
 
+double param_or(const core::ServiceBeginRequest& request,
+                const std::string& name, double def) {
+  auto it = request.params.find(name);
+  return it == request.params.end() ? def : it->second;
+}
+
+// A number as a message shows it: 700, 1e+300, nan.
+std::string show(double v) {
+  std::ostringstream os;
+  os << v;
+  return os.str();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------ speech
 
-std::vector<solver::Alternative> SpeechExperiment::alternatives() {
+Speech::Input::Input(double utt_len) : utt_len(utt_len) {
+  SPECTRA_REQUIRE(utt_len > 0.0 && utt_len <= kMaxUtterance,
+                  "speech utterance must be in (0, " + show(kMaxUtterance) +
+                      "] s, got " + show(utt_len));
+}
+
+Speech::Input Speech::input(const core::ServiceBeginRequest& request) {
+  return Input(
+      param_or(request, "utt_len", InputConfig{}.test_utterance_s));
+}
+
+std::vector<solver::Alternative> Speech::alternatives() {
   std::vector<solver::Alternative> out;
   for (int plan :
        {JanusApp::kPlanLocal, JanusApp::kPlanHybrid, JanusApp::kPlanRemote}) {
@@ -112,188 +122,97 @@ std::vector<solver::Alternative> SpeechExperiment::alternatives() {
   return out;
 }
 
-std::string SpeechExperiment::label(const solver::Alternative& alt) {
+std::string Speech::label(const solver::Alternative& alt) {
   static const char* kPlans[] = {"local", "hybrid", "remote"};
   std::string s = kPlans[alt.plan];
   s += alt.fidelity.at("vocab") >= JanusApp::kVocabFull ? "-full" : "-reduced";
   return s;
 }
 
-std::unique_ptr<World> SpeechExperiment::trained_world(
-    obs::Observability* obs) const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kItsy;
-  wc.seed = config_.seed;
-  wc.spectra.obs = obs;
-  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
-  auto world = std::make_unique<World>(wc);
-  {
-    PhaseTimer phase(obs, world->engine(), "setup");
-    world->warm_all_caches();
-    world->probe_fetch_rates();
-    world->settle(6.0);
-  }
-
-  {
-    PhaseTimer phase(obs, world->engine(), "train");
-    util::Rng rng(config_.seed * 77 + 13);
-    const auto alts = alternatives();
-    for (int i = 0; i < config_.training_runs; ++i) {
-      const double len = rng.uniform(1.0, 3.5);
-      world->janus().run_forced(
-          world->spectra(), len,
-          alts[static_cast<std::size_t>(i) % alts.size()]);
-    }
-  }
-  {
-    PhaseTimer phase(obs, world->engine(), "settle");
-    apply(*world, config_.scenario);
-    world->settle(config_.settle_time);
-    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
-  }
-  return world;
-}
-
-std::shared_ptr<const World> SpeechExperiment::template_world() const {
-  const bool cacheable = config_.obs == nullptr &&
-                         !config_.spectra_overrides && !config_.fault_plan;
-  std::ostringstream key;
-  key << "speech|" << static_cast<int>(config_.scenario) << '|'
-      << config_.seed << '|' << config_.training_runs << '|'
-      << config_.settle_time;
-  return acquire_template(cacheable, key.str(), template_once_, template_,
-                          [this] { return trained_world(config_.obs); });
-}
-
-std::unique_ptr<World> SpeechExperiment::measurement_world(
-    obs::Observability* run_obs) const {
-  if (config_.reuse_trained_world) {
-    return clone_template(*template_world(), run_obs);
-  }
-  return trained_world(run_obs);
-}
-
-MeasuredRun SpeechExperiment::measure(const solver::Alternative& alt,
-                                      obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  try {
-    const auto usage = world->janus().run_forced(
-        world->spectra(), config_.test_utterance_s, alt);
-    MeasuredRun run = to_run(core::OperationChoice{}, usage);
-    run.choice.alternative = alt;
-    return run;
-  } catch (const util::ContractError&) {
-    return MeasuredRun{};  // infeasible under this scenario
+void Speech::train(World& world, std::uint64_t seed, int runs) {
+  util::Rng rng(seed * 77 + 13);
+  const auto alts = alternatives();
+  for (int i = 0; i < runs; ++i) {
+    const double len = rng.uniform(1.0, 3.5);
+    world.janus().run_forced(world.spectra(), len,
+                             alts[static_cast<std::size_t>(i) % alts.size()]);
   }
 }
 
-MeasuredRun SpeechExperiment::run_spectra(obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  PhaseTimer phase(run_obs, world->engine(), "measure");
-  // Capture the choice before end_fidelity_op clears it.
-  std::map<std::string, double> params{
-      {"utt_len", config_.test_utterance_s}};
-  const auto choice = world->spectra().begin_fidelity_op(
-      JanusApp::kOperation, params);
-  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  world->janus().execute(world->spectra(), config_.test_utterance_s);
-  const auto usage = world->spectra().end_fidelity_op();
-  return to_run(choice, usage);
+core::OperationChoice Speech::begin(World& world, const Input& input) {
+  return world.spectra().begin_fidelity_op(kOperation,
+                                           {{"utt_len", input.utt_len}});
+}
+
+void Speech::execute(World& world, const Input& input) {
+  world.janus().execute(world.spectra(), input.utt_len);
+}
+
+monitor::OperationUsage Speech::run_forced(World& world, const Input& input,
+                                           const solver::Alternative& alt) {
+  return world.janus().run_forced(world.spectra(), input.utt_len, alt);
 }
 
 // ------------------------------------------------------------------- latex
 
-std::vector<solver::Alternative> LatexExperiment::alternatives() {
+Latex::Input::Input(std::string doc) : doc(std::move(doc)) {
+  SPECTRA_REQUIRE(this->doc == "small" || this->doc == "large",
+                  "latex document must be small or large, got: " + this->doc);
+}
+
+Latex::Input Latex::input(const core::ServiceBeginRequest& request) {
+  return Input(request.data_tag.empty() ? InputConfig{}.doc
+                                        : request.data_tag);
+}
+
+std::vector<solver::Alternative> Latex::alternatives() {
   return {LatexApp::alternative(LatexApp::kPlanLocal),
           LatexApp::alternative(LatexApp::kPlanRemote, kServerA),
           LatexApp::alternative(LatexApp::kPlanRemote, kServerB)};
 }
 
-std::string LatexExperiment::label(const solver::Alternative& alt) {
+std::string Latex::label(const solver::Alternative& alt) {
   if (alt.plan == LatexApp::kPlanLocal) return "local";
   return alt.server == kServerA ? "serverA" : "serverB";
 }
 
-std::unique_ptr<World> LatexExperiment::trained_world(
-    obs::Observability* obs) const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kThinkpad;
-  wc.seed = config_.seed;
-  wc.spectra.obs = obs;
-  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
-  auto world = std::make_unique<World>(wc);
-  {
-    PhaseTimer phase(obs, world->engine(), "setup");
-    world->warm_all_caches();
-    world->probe_fetch_rates();
-    world->settle(6.0);
-  }
-
-  {
-    PhaseTimer phase(obs, world->engine(), "train");
-    const auto alts = alternatives();
-    for (int i = 0; i < config_.training_runs; ++i) {
-      const std::string doc = (i % 2 == 0) ? "small" : "large";
-      world->latex().run_forced(world->spectra(), doc,
-                                alts[static_cast<std::size_t>(i / 2) %
-                                     alts.size()]);
-    }
-  }
-  {
-    PhaseTimer phase(obs, world->engine(), "settle");
-    apply(*world, config_.scenario);
-    world->settle(config_.settle_time);
-    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
-  }
-  return world;
-}
-
-std::shared_ptr<const World> LatexExperiment::template_world() const {
-  const bool cacheable = config_.obs == nullptr &&
-                         !config_.spectra_overrides && !config_.fault_plan;
-  std::ostringstream key;
-  key << "latex|" << static_cast<int>(config_.scenario) << '|' << config_.seed
-      << '|' << config_.training_runs << '|' << config_.settle_time;
-  return acquire_template(cacheable, key.str(), template_once_, template_,
-                          [this] { return trained_world(config_.obs); });
-}
-
-std::unique_ptr<World> LatexExperiment::measurement_world(
-    obs::Observability* run_obs) const {
-  if (config_.reuse_trained_world) {
-    return clone_template(*template_world(), run_obs);
-  }
-  return trained_world(run_obs);
-}
-
-MeasuredRun LatexExperiment::measure(const solver::Alternative& alt,
-                                     obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  try {
-    const auto usage =
-        world->latex().run_forced(world->spectra(), config_.doc, alt);
-    MeasuredRun run = to_run(core::OperationChoice{}, usage);
-    run.choice.alternative = alt;
-    return run;
-  } catch (const util::ContractError&) {
-    return MeasuredRun{};
+void Latex::train(World& world, std::uint64_t /*seed*/, int runs) {
+  const auto alts = alternatives();
+  for (int i = 0; i < runs; ++i) {
+    const std::string doc = (i % 2 == 0) ? "small" : "large";
+    world.latex().run_forced(
+        world.spectra(), doc,
+        alts[static_cast<std::size_t>(i / 2) % alts.size()]);
   }
 }
 
-MeasuredRun LatexExperiment::run_spectra(obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  PhaseTimer phase(run_obs, world->engine(), "measure");
-  const auto choice = world->spectra().begin_fidelity_op(
-      LatexApp::kOperation, {}, config_.doc);
-  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  world->latex().execute(world->spectra(), config_.doc);
-  const auto usage = world->spectra().end_fidelity_op();
-  return to_run(choice, usage);
+core::OperationChoice Latex::begin(World& world, const Input& input) {
+  return world.spectra().begin_fidelity_op(kOperation, {}, input.doc);
+}
+
+void Latex::execute(World& world, const Input& input) {
+  world.latex().execute(world.spectra(), input.doc);
+}
+
+monitor::OperationUsage Latex::run_forced(World& world, const Input& input,
+                                          const solver::Alternative& alt) {
+  return world.latex().run_forced(world.spectra(), input.doc, alt);
 }
 
 // ---------------------------------------------------------------- pangloss
 
-std::vector<solver::Alternative> PanglossExperiment::alternatives() {
+Pangloss::Input::Input(double words) {
+  SPECTRA_REQUIRE(words >= 1.0 && words <= kMaxWords,
+                  "pangloss sentence must be in [1, " + show(kMaxWords) +
+                      "] words, got " + show(words));
+  this->words = static_cast<int>(words);
+}
+
+Pangloss::Input Pangloss::input(const core::ServiceBeginRequest& request) {
+  return Input(param_or(request, "words", InputConfig{}.test_words));
+}
+
+std::vector<solver::Alternative> Pangloss::alternatives() {
   std::vector<solver::Alternative> out;
   std::set<std::string> seen;
   for (int mask = 0; mask < PanglossApp::kPlanCount; ++mask) {
@@ -311,7 +230,7 @@ std::vector<solver::Alternative> PanglossExperiment::alternatives() {
   return out;
 }
 
-std::string PanglossExperiment::label(const solver::Alternative& alt) {
+std::string Pangloss::label(const solver::Alternative& alt) {
   std::ostringstream os;
   static const char* kNames[] = {"ebmt", "gloss", "dict", "lm"};
   bool any = false;
@@ -329,93 +248,8 @@ std::string PanglossExperiment::label(const solver::Alternative& alt) {
   return os.str();
 }
 
-std::unique_ptr<World> PanglossExperiment::trained_world(
-    obs::Observability* obs) const {
-  WorldConfig wc;
-  wc.testbed = Testbed::kThinkpad;
-  wc.seed = config_.seed;
-  wc.spectra.obs = obs;
-  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
-  auto world = std::make_unique<World>(wc);
-  {
-    PhaseTimer phase(obs, world->engine(), "setup");
-    world->warm_all_caches();
-    world->probe_fetch_rates();
-    world->settle(6.0);
-  }
-
-  {
-    PhaseTimer phase(obs, world->engine(), "train");
-    util::Rng rng(config_.seed * 91 + 7);
-    for (int i = 0; i < config_.training_runs; ++i) {
-      const int words = static_cast<int>(rng.uniform_int(4, 44));
-      const int fid = 1 + static_cast<int>(rng.uniform_int(0, 6));
-      const int mask = static_cast<int>(rng.uniform_int(0, 15));
-      const MachineId server = (i % 2 == 0) ? kServerA : kServerB;
-      const auto alt = PanglossApp::alternative(mask, (fid & 1) != 0,
-                                                (fid & 2) != 0,
-                                                (fid & 4) != 0, server);
-      world->pangloss().run_forced(world->spectra(), words, alt);
-    }
-  }
-  {
-    PhaseTimer phase(obs, world->engine(), "settle");
-    apply(*world, config_.scenario);
-    world->settle(config_.settle_time);
-    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
-  }
-  return world;
-}
-
-std::shared_ptr<const World> PanglossExperiment::template_world() const {
-  const bool cacheable = config_.obs == nullptr &&
-                         !config_.spectra_overrides && !config_.fault_plan;
-  std::ostringstream key;
-  key << "pangloss|" << static_cast<int>(config_.scenario) << '|'
-      << config_.seed << '|' << config_.training_runs << '|'
-      << config_.settle_time;
-  return acquire_template(cacheable, key.str(), template_once_, template_,
-                          [this] { return trained_world(config_.obs); });
-}
-
-std::unique_ptr<World> PanglossExperiment::measurement_world(
-    obs::Observability* run_obs) const {
-  if (config_.reuse_trained_world) {
-    return clone_template(*template_world(), run_obs);
-  }
-  return trained_world(run_obs);
-}
-
-MeasuredRun PanglossExperiment::measure(const solver::Alternative& alt,
-                                        obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  try {
-    const auto usage =
-        world->pangloss().run_forced(world->spectra(), config_.test_words,
-                                     alt);
-    MeasuredRun run = to_run(core::OperationChoice{}, usage);
-    run.choice.alternative = PanglossApp::canonical(alt);
-    return run;
-  } catch (const util::ContractError&) {
-    return MeasuredRun{};
-  }
-}
-
-MeasuredRun PanglossExperiment::run_spectra(obs::Observability* run_obs) const {
-  auto world = measurement_world(run_obs);
-  PhaseTimer phase(run_obs, world->engine(), "measure");
-  std::map<std::string, double> params{
-      {"words", static_cast<double>(config_.test_words)}};
-  const auto choice = world->spectra().begin_fidelity_op(
-      PanglossApp::kOperation, params);
-  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
-  world->pangloss().execute(world->spectra(), config_.test_words);
-  const auto usage = world->spectra().end_fidelity_op();
-  return to_run(choice, usage);
-}
-
-double PanglossExperiment::achieved_utility(const MeasuredRun& run,
-                                            const solver::Alternative& alt) {
+double Pangloss::achieved_utility(const MeasuredRun& run,
+                                  const solver::Alternative& alt) {
   if (!run.feasible) return 0.0;
   const apps::PanglossConfig cfg;
   const auto latency =
@@ -430,6 +264,125 @@ double PanglossExperiment::achieved_utility(const MeasuredRun& run,
   }
   return latency(run.time) * fidelity;
 }
+
+void Pangloss::train(World& world, std::uint64_t seed, int runs) {
+  util::Rng rng(seed * 91 + 7);
+  for (int i = 0; i < runs; ++i) {
+    const int words = static_cast<int>(rng.uniform_int(4, 44));
+    const int fid = 1 + static_cast<int>(rng.uniform_int(0, 6));
+    const int mask = static_cast<int>(rng.uniform_int(0, 15));
+    const MachineId server = (i % 2 == 0) ? kServerA : kServerB;
+    const auto alt = PanglossApp::alternative(mask, (fid & 1) != 0,
+                                              (fid & 2) != 0,
+                                              (fid & 4) != 0, server);
+    world.pangloss().run_forced(world.spectra(), words, alt);
+  }
+}
+
+core::OperationChoice Pangloss::begin(World& world, const Input& input) {
+  return world.spectra().begin_fidelity_op(
+      kOperation, {{"words", static_cast<double>(input.words)}});
+}
+
+void Pangloss::execute(World& world, const Input& input) {
+  world.pangloss().execute(world.spectra(), input.words);
+}
+
+monitor::OperationUsage Pangloss::run_forced(World& world, const Input& input,
+                                             const solver::Alternative& alt) {
+  return world.pangloss().run_forced(world.spectra(), input.words, alt);
+}
+
+// -------------------------------------------------------------- experiment
+
+template <typename App>
+std::unique_ptr<World> Experiment<App>::trained_world(
+    obs::Observability* obs) const {
+  WorldConfig wc;
+  wc.testbed = App::kTestbed;
+  wc.seed = config_.seed;
+  wc.spectra.obs = obs;
+  if (config_.spectra_overrides) config_.spectra_overrides(wc.spectra);
+  auto world = std::make_unique<World>(wc);
+  {
+    PhaseTimer phase(obs, world->engine(), "setup");
+    world->warm_all_caches();
+    world->probe_fetch_rates();
+    world->settle(6.0);
+  }
+  {
+    PhaseTimer phase(obs, world->engine(), "train");
+    App::train(*world, config_.seed, config_.training_runs);
+  }
+  {
+    PhaseTimer phase(obs, world->engine(), "settle");
+    apply(*world, config_.scenario);
+    world->settle(config_.settle_time);
+    if (config_.fault_plan) world->arm_faults(*config_.fault_plan);
+  }
+  return world;
+}
+
+template <typename App>
+std::shared_ptr<const World> Experiment<App>::template_world() const {
+  const bool cacheable = config_.obs == nullptr &&
+                         !config_.spectra_overrides && !config_.fault_plan;
+  if (!cacheable) {
+    std::call_once(template_once_,
+                   [this] { template_ = trained_world(config_.obs); });
+    return template_;
+  }
+  std::ostringstream key;
+  key << App::kName << '|' << static_cast<int>(config_.scenario) << '|'
+      << config_.seed << '|' << config_.training_runs << '|'
+      << config_.settle_time;
+  return TrainedWorldCache::instance().get(
+      key.str(), [this] { return trained_world(nullptr); });
+}
+
+template <typename App>
+std::unique_ptr<World> Experiment<App>::measurement_world(
+    obs::Observability* run_obs) const {
+  if (config_.reuse_trained_world) {
+    return clone_template(*template_world(), run_obs);
+  }
+  return trained_world(run_obs);
+}
+
+template <typename App>
+MeasuredRun Experiment<App>::measure(const solver::Alternative& alt,
+                                     obs::Observability* run_obs) const {
+  auto world = measurement_world(run_obs);
+  try {
+    const auto usage = App::run_forced(*world, input_, alt);
+    MeasuredRun run = to_run(core::OperationChoice{}, usage);
+    run.choice.alternative = App::canonical(alt);
+    return run;
+  } catch (const util::ContractError&) {
+    return MeasuredRun{};  // infeasible under this scenario
+  }
+}
+
+template <typename App>
+MeasuredRun Experiment<App>::run_spectra(obs::Observability* run_obs) const {
+  auto world = measurement_world(run_obs);
+  PhaseTimer phase(run_obs, world->engine(), "measure");
+  return run_spectra_on(*world);
+}
+
+template <typename App>
+MeasuredRun Experiment<App>::run_spectra_on(World& world) const {
+  // Capture the choice before end_fidelity_op clears it.
+  const auto choice = App::begin(world, input_);
+  SPECTRA_REQUIRE(choice.ok, "Spectra made no choice");
+  App::execute(world, input_);
+  const auto usage = world.spectra().end_fidelity_op();
+  return to_run(choice, usage);
+}
+
+template class Experiment<Speech>;
+template class Experiment<Latex>;
+template class Experiment<Pangloss>;
 
 // --------------------------------------------------------------- overhead
 
@@ -456,6 +409,17 @@ core::OperationDesc null_op_desc() {
   return desc;
 }
 
+core::OperationChoice NullOp::begin(World& world, const Input& input) {
+  return world.spectra().begin_fidelity_op(kNullOp, input.params);
+}
+
+void NullOp::execute(World& world, const Input& /*input*/) {
+  rpc::Request req;
+  req.op_type = kNullOp;
+  req.payload = 64.0;
+  world.spectra().do_local_op(kNullOp, req);
+}
+
 OverheadReport OverheadExperiment::run() const {
   WorldConfig wc;
   wc.testbed = Testbed::kOverhead;
@@ -474,24 +438,14 @@ OverheadReport OverheadExperiment::run() const {
   world.settle(6.0);
 
   // Train so the measured begin_fidelity_op runs the full decision path.
-  auto one_run = [&](bool forced_local) {
-    if (forced_local) {
-      solver::Alternative local;
-      local.plan = 0;
-      local.fidelity["level"] = 1.0;
-      world.spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
-    } else {
-      world.spectra().begin_fidelity_op(kNullOp, {});
-    }
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    // The null operation always executes locally regardless of the chosen
-    // plan; only the decision cost is being measured.
-    world.spectra().do_local_op(kNullOp, req);
+  solver::Alternative local;
+  local.plan = 0;
+  local.fidelity["level"] = 1.0;
+  for (int i = 0; i < 16; ++i) {
+    world.spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
+    NullOp::execute(world);
     world.spectra().end_fidelity_op();
-  };
-  for (int i = 0; i < 16; ++i) one_run(/*forced_local=*/true);
+  }
 
   // Measured runs.
   double begin_sum = 0, cache_sum = 0, choose_sum = 0, other_sum = 0;
@@ -500,10 +454,7 @@ OverheadReport OverheadExperiment::run() const {
     const double t0 = wall_ms();
     const auto choice = world.spectra().begin_fidelity_op(kNullOp, {});
     const double t1 = wall_ms();
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world.spectra().do_local_op(kNullOp, req);
+    NullOp::execute(world);
     const double t2 = wall_ms();
     world.spectra().end_fidelity_op();
     const double t3 = wall_ms();
@@ -538,10 +489,7 @@ OverheadReport OverheadExperiment::run() const {
   const int full_runs = 32;
   for (int i = 0; i < full_runs; ++i) {
     const auto choice = world.spectra().begin_fidelity_op(kNullOp, {});
-    rpc::Request req;
-    req.op_type = kNullOp;
-    req.payload = 64.0;
-    world.spectra().do_local_op(kNullOp, req);
+    NullOp::execute(world);
     world.spectra().end_fidelity_op();
     full_sum += choice.wall_cache_prediction * 1000.0;
   }

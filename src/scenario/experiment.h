@@ -13,6 +13,8 @@
 // exercises the full begin_fidelity_op path, overhead included.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "core/client.h"
+#include "core/decision_service.h"
 #include "fault/fault_plan.h"
 #include "obs/obs.h"
 #include "scenario/batch.h"
@@ -37,18 +40,159 @@ struct MeasuredRun {
   monitor::OperationUsage usage;
 };
 
+// Each application is a traits type stating only what is its own: testbed,
+// scenarios, training loop, alternatives and labels, an Input whose
+// constructor is the one range check, and one begin / execute / run_forced
+// of its operation, which Experiment<App> below, the chaos soak, the daemon
+// sessions and `spectra explain` all call.
+
 // ------------------------------------------------------------------ speech
 
-class SpeechExperiment {
- public:
-  struct Config {
-    SpeechScenario scenario = SpeechScenario::kBaseline;
-    std::uint64_t seed = 1;
+// Janus recognizing one utterance on the Itsy testbed (Figures 3 and 4).
+struct Speech {
+  using Scenario = SpeechScenario;
+  static constexpr const char* kName = "speech";
+  static constexpr const char* kOperation = apps::JanusApp::kOperation;
+  static constexpr Testbed kTestbed = Testbed::kItsy;
+  static constexpr const auto& kScenarios = kSpeechScenarios;
+  // The paper trains on 15 phrases; we use 18 so deterministic
+  // round-robin training covers each of the 6 alternatives 3 times,
+  // enough to fit the per-bin utterance-length regressions.
+  static constexpr int kTrainingRuns = 18;
+  // Longest utterance accepted, in seconds (the paper's are <= 3.5 s).
+  static constexpr double kMaxUtterance = 600.0;
+
+  // One utterance of utt_len seconds, in (0, kMaxUtterance].
+  struct Input {
+    explicit Input(double utt_len);
+    double utt_len;
+  };
+  // Experiment<Speech>::Config's input field.
+  struct InputConfig {
     double test_utterance_s = 2.0;
-    // The paper trains on 15 phrases; we use 18 so deterministic
-    // round-robin training covers each of the 6 alternatives 3 times,
-    // enough to fit the per-bin utterance-length regressions.
-    int training_runs = 18;
+    Input input() const { return Input(test_utterance_s); }
+  };
+  // A begin request's input: its utt_len parameter, or the experiments'
+  // default (2 s) when absent.
+  static Input input(const core::ServiceBeginRequest& request);
+
+  // The six alternatives of Figure 3/4: {local, hybrid, remote} x
+  // {reduced, full}.
+  static std::vector<solver::Alternative> alternatives();
+  static std::string label(const solver::Alternative& alt);
+  // The alternative a forced run of `alt` executes.
+  static solver::Alternative canonical(const solver::Alternative& alt) {
+    return alt;
+  }
+
+  static void train(World& world, std::uint64_t seed, int runs);
+  static core::OperationChoice begin(World& world, const Input& input);
+  static void execute(World& world, const Input& input);
+  static monitor::OperationUsage run_forced(World& world, const Input& input,
+                                            const solver::Alternative& alt);
+};
+
+// ------------------------------------------------------------------- latex
+
+// Latex building one document on the ThinkPad testbed (Figures 5-7).
+struct Latex {
+  using Scenario = LatexScenario;
+  static constexpr const char* kName = "latex";
+  static constexpr const char* kOperation = apps::LatexApp::kOperation;
+  static constexpr Testbed kTestbed = Testbed::kThinkpad;
+  static constexpr const auto& kScenarios = kLatexScenarios;
+  // "we first executed Latex 20 times"
+  static constexpr int kTrainingRuns = 20;
+
+  // One of the paper's two documents: small or large.
+  struct Input {
+    explicit Input(std::string doc);
+    std::string doc;
+  };
+  struct InputConfig {
+    std::string doc = "small";
+    Input input() const { return Input(doc); }
+  };
+  // A begin request's input: its data tag, or the experiments' default
+  // (small) when empty.
+  static Input input(const core::ServiceBeginRequest& request);
+
+  // local, remote on server A, remote on server B.
+  static std::vector<solver::Alternative> alternatives();
+  static std::string label(const solver::Alternative& alt);
+  static solver::Alternative canonical(const solver::Alternative& alt) {
+    return alt;
+  }
+
+  static void train(World& world, std::uint64_t seed, int runs);
+  static core::OperationChoice begin(World& world, const Input& input);
+  static void execute(World& world, const Input& input);
+  static monitor::OperationUsage run_forced(World& world, const Input& input,
+                                            const solver::Alternative& alt);
+};
+
+// ---------------------------------------------------------------- pangloss
+
+// Pangloss-Lite translating one sentence on the ThinkPad testbed
+// (Figures 8 and 9).
+struct Pangloss {
+  using Scenario = PanglossScenario;
+  static constexpr const char* kName = "pangloss";
+  static constexpr const char* kOperation = apps::PanglossApp::kOperation;
+  static constexpr Testbed kTestbed = Testbed::kThinkpad;
+  static constexpr const auto& kScenarios = kPanglossScenarios;
+  // "we first translated a set of 129 sentences"
+  static constexpr int kTrainingRuns = 129;
+  // Longest sentence accepted, in words (the paper's are <= 44).
+  static constexpr double kMaxWords = 10000;
+
+  // One sentence of `words` words. The constructor checks
+  // 1 <= words <= kMaxWords before truncating to a whole count.
+  struct Input {
+    explicit Input(double words);
+    int words;
+  };
+  struct InputConfig {
+    int test_words = 10;
+    Input input() const { return Input(test_words); }
+  };
+  // A begin request's input: its words parameter, or the experiments'
+  // default (10) when absent.
+  static Input input(const core::ServiceBeginRequest& request);
+
+  // All distinct combinations of location and fidelity (~97, the paper's
+  // "100 different combinations").
+  static std::vector<solver::Alternative> alternatives();
+  static std::string label(const solver::Alternative& alt);
+  // Disabled engines' placement bits zeroed.
+  static solver::Alternative canonical(const solver::Alternative& alt) {
+    return apps::PanglossApp::canonical(alt);
+  }
+
+  // Achieved utility of a measured run of `alt` (all Pangloss scenarios are
+  // wall-powered, so c = 0 and energy does not contribute).
+  static double achieved_utility(const MeasuredRun& run,
+                                 const solver::Alternative& alt);
+
+  static void train(World& world, std::uint64_t seed, int runs);
+  static core::OperationChoice begin(World& world, const Input& input);
+  static void execute(World& world, const Input& input);
+  static monitor::OperationUsage run_forced(World& world, const Input& input,
+                                            const solver::Alternative& alt);
+};
+
+// -------------------------------------------------------------- experiment
+
+// One application's measurement harness. The app's static members
+// (alternatives, label, and Pangloss's achieved_utility) are the
+// experiment's own.
+template <typename App>
+class Experiment : public App {
+ public:
+  struct Config : App::InputConfig {
+    typename App::Scenario scenario = App::Scenario::kBaseline;
+    std::uint64_t seed = 1;
+    int training_runs = App::kTrainingRuns;
     util::Seconds settle_time = 12.0;
     // Optional hook to adjust the Spectra client configuration of the
     // worlds this experiment builds (e.g. enable decision tracing).
@@ -65,12 +209,10 @@ class SpeechExperiment {
     bool reuse_trained_world = default_reuse_trained_world();
   };
 
-  explicit SpeechExperiment(Config config) : config_(config) {}
-
-  // The six alternatives of Figure 3/4: {local, hybrid, remote} x
-  // {reduced, full}.
-  static std::vector<solver::Alternative> alternatives();
-  static std::string label(const solver::Alternative& alt);
+  // Range-checks the configured input (util::ContractError) before any
+  // world is built.
+  explicit Experiment(Config config)
+      : config_(std::move(config)), input_(config_.input()) {}
 
   MeasuredRun measure(const solver::Alternative& alt) const {
     return measure(alt, config_.obs);
@@ -82,6 +224,9 @@ class SpeechExperiment {
   MeasuredRun measure(const solver::Alternative& alt,
                       obs::Observability* run_obs) const;
   MeasuredRun run_spectra(obs::Observability* run_obs) const;
+  // One Spectra-chosen operation on the configured input (begin, execute,
+  // end) in a world the caller built, e.g. one an ablation has altered.
+  MeasuredRun run_spectra_on(World& world) const;
 
   // Fresh trained world under this experiment's scenario (exposed for
   // integration tests and ablations).
@@ -97,118 +242,28 @@ class SpeechExperiment {
     return measurement_world(nullptr);
   }
 
- private:
-  std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
+  // The trained template measured runs clone: shared process-wide through
+  // TrainedWorldCache (with the chaos soak and the daemon too) unless the
+  // config has observability, overrides or a fault plan, in which case it
+  // is trained once per instance. Never mutate it.
   std::shared_ptr<const World> template_world() const;
 
+ private:
+  std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
+
   Config config_;
+  typename App::Input input_;
   mutable std::once_flag template_once_;
   mutable std::shared_ptr<const World> template_;
 };
 
-// ------------------------------------------------------------------- latex
+extern template class Experiment<Speech>;
+extern template class Experiment<Latex>;
+extern template class Experiment<Pangloss>;
 
-class LatexExperiment {
- public:
-  struct Config {
-    LatexScenario scenario = LatexScenario::kBaseline;
-    std::string doc = "small";
-    std::uint64_t seed = 1;
-    int training_runs = 20;  // "we first executed Latex 20 times"
-    util::Seconds settle_time = 12.0;
-    std::function<void(core::SpectraClientConfig&)> spectra_overrides;
-    std::optional<fault::FaultPlan> fault_plan;
-    obs::Observability* obs = nullptr;
-    bool reuse_trained_world = default_reuse_trained_world();
-  };
-
-  explicit LatexExperiment(Config config) : config_(config) {}
-
-  // local, remote on server A, remote on server B.
-  static std::vector<solver::Alternative> alternatives();
-  static std::string label(const solver::Alternative& alt);
-
-  MeasuredRun measure(const solver::Alternative& alt) const {
-    return measure(alt, config_.obs);
-  }
-  MeasuredRun run_spectra() const { return run_spectra(config_.obs); }
-  MeasuredRun measure(const solver::Alternative& alt,
-                      obs::Observability* run_obs) const;
-  MeasuredRun run_spectra(obs::Observability* run_obs) const;
-  std::unique_ptr<World> trained_world() const {
-    return trained_world(config_.obs);
-  }
-  std::unique_ptr<World> trained_world(obs::Observability* obs) const;
-
-  // Trained world for one daemon session (scenario::app_service_factory):
-  // a clone of the shared template when reuse is on, a fresh retrain
-  // otherwise — exactly what each measured run gets.
-  std::unique_ptr<World> session_world() const {
-    return measurement_world(nullptr);
-  }
-
- private:
-  std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
-  std::shared_ptr<const World> template_world() const;
-
-  Config config_;
-  mutable std::once_flag template_once_;
-  mutable std::shared_ptr<const World> template_;
-};
-
-// ---------------------------------------------------------------- pangloss
-
-class PanglossExperiment {
- public:
-  struct Config {
-    PanglossScenario scenario = PanglossScenario::kBaseline;
-    std::uint64_t seed = 1;
-    int test_words = 10;
-    int training_runs = 129;  // "we first translated a set of 129 sentences"
-    util::Seconds settle_time = 12.0;
-    std::function<void(core::SpectraClientConfig&)> spectra_overrides;
-    std::optional<fault::FaultPlan> fault_plan;
-    obs::Observability* obs = nullptr;
-    bool reuse_trained_world = default_reuse_trained_world();
-  };
-
-  explicit PanglossExperiment(Config config) : config_(config) {}
-
-  // All distinct combinations of location and fidelity (~97, the paper's
-  // "100 different combinations").
-  static std::vector<solver::Alternative> alternatives();
-  static std::string label(const solver::Alternative& alt);
-
-  MeasuredRun measure(const solver::Alternative& alt) const {
-    return measure(alt, config_.obs);
-  }
-  MeasuredRun run_spectra() const { return run_spectra(config_.obs); }
-  MeasuredRun measure(const solver::Alternative& alt,
-                      obs::Observability* run_obs) const;
-  MeasuredRun run_spectra(obs::Observability* run_obs) const;
-  std::unique_ptr<World> trained_world() const {
-    return trained_world(config_.obs);
-  }
-  std::unique_ptr<World> trained_world(obs::Observability* obs) const;
-
-  // Achieved utility of a measured run of `alt` (all Pangloss scenarios are
-  // wall-powered, so c = 0 and energy does not contribute).
-  static double achieved_utility(const MeasuredRun& run,
-                                 const solver::Alternative& alt);
-
-  // See SpeechExperiment::session_world.
-  std::unique_ptr<World> session_world() const {
-    return measurement_world(nullptr);
-  }
-
- private:
-  std::unique_ptr<World> measurement_world(obs::Observability* run_obs) const;
-  std::shared_ptr<const World> template_world() const;
-
-  Config config_;
-  mutable std::once_flag template_once_;
-  mutable std::shared_ptr<const World> template_;
-};
+using SpeechExperiment = Experiment<Speech>;
+using LatexExperiment = Experiment<Latex>;
+using PanglossExperiment = Experiment<Pangloss>;
 
 // --------------------------------------------------------------- overhead
 
@@ -220,6 +275,23 @@ inline constexpr const char* kNullOp = "null.op";
 // server. World::clone copies no RPC handlers, so clones need this too.
 void install_null_services(World& world);
 core::OperationDesc null_op_desc();
+
+// The null operation in the traits shape (for the daemon's nullop sessions
+// and micro_decision). Its begin parameters feed the decision as sent, and
+// it always executes locally, whatever the chosen plan: only the decision
+// cost is being measured.
+struct NullOp {
+  static constexpr const char* kName = "nullop";
+  static constexpr const char* kOperation = kNullOp;
+  struct Input {
+    std::map<std::string, double> params;
+  };
+  static Input input(const core::ServiceBeginRequest& request) {
+    return {request.params};
+  }
+  static core::OperationChoice begin(World& world, const Input& input);
+  static void execute(World& world, const Input& input = {});
+};
 
 // Fig 10: cost of a null operation under 0 / 1 / 5 candidate servers.
 struct OverheadReport {

@@ -1,11 +1,11 @@
 #include "scenario/soak.h"
 
-#include <cstring>
 #include <sstream>
 
 #include "obs/trace.h"
 #include "scenario/experiment.h"
 #include "util/assert.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace spectra::scenario {
@@ -18,21 +18,12 @@ namespace {
 // execution.
 class Fingerprint {
  public:
-  void add_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void add_double(double d) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    add_u64(bits);
-  }
+  void add_u64(std::uint64_t v) { h_ = util::fnv_mix(h_, v); }
+  void add_double(double d) { h_ = util::fnv_mix(h_, d); }
   void add_string(const std::string& s) {
     for (unsigned char c : s) {
       h_ ^= c;
-      h_ *= 0x100000001b3ULL;
+      h_ *= util::kFnvPrime;
     }
     add_u64(s.size());
   }
@@ -42,43 +33,44 @@ class Fingerprint {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-// One full Spectra operation (begin / execute / end) with parameters drawn
-// from `rng`. A util::ContractError mid-operation — the file server
-// partitioning during a fetch, say — aborts the op; the client's op state
-// is finalized so the next operation starts clean.
-SoakOpOutcome drive_op(World& world, SoakApp app, util::Rng& rng,
+// The one dispatch from a SoakApp to its traits type: returns fn(App{}).
+template <typename Fn>
+auto with_app(SoakApp app, Fn&& fn) {
+  switch (app) {
+    case SoakApp::kSpeech: return fn(Speech{});
+    case SoakApp::kLatex: return fn(Latex{});
+    case SoakApp::kPangloss: return fn(Pangloss{});
+  }
+  throw util::ContractError("unknown soak app");
+}
+
+// Each operation's input, drawn from the plan's operation stream.
+Speech::Input draw_input(Speech, util::Rng& rng) {
+  return Speech::Input(rng.uniform(1.0, 3.0));
+}
+Latex::Input draw_input(Latex, util::Rng& rng) {
+  return Latex::Input(rng.bernoulli(0.5) ? "large" : "small");
+}
+Pangloss::Input draw_input(Pangloss, util::Rng& rng) {
+  return Pangloss::Input(static_cast<double>(rng.uniform_int(4, 30)));
+}
+
+// One full Spectra operation (begin / execute / end) on `input`. A
+// util::ContractError mid-operation — the file server partitioning during
+// a fetch, say — aborts the op; the client's op state is finalized so the
+// next operation starts clean.
+template <typename App>
+SoakOpOutcome drive_op(World& world, const typename App::Input& input,
                        Fingerprint& fp, std::vector<std::string>& violations) {
   core::SpectraClient& client = world.spectra();
   const util::Seconds before = world.engine().now();
   SoakOpOutcome outcome = SoakOpOutcome::kAborted;
   try {
-    core::OperationChoice choice;
-    switch (app) {
-      case SoakApp::kSpeech: {
-        const double len = rng.uniform(1.0, 3.0);
-        choice = client.begin_fidelity_op(apps::JanusApp::kOperation,
-                                          {{"utt_len", len}});
-        if (choice.ok) world.janus().execute(client, len);
-        break;
-      }
-      case SoakApp::kLatex: {
-        const std::string doc = rng.bernoulli(0.5) ? "large" : "small";
-        choice = client.begin_fidelity_op(apps::LatexApp::kOperation, {}, doc);
-        if (choice.ok) world.latex().execute(client, doc);
-        break;
-      }
-      case SoakApp::kPangloss: {
-        const int words = static_cast<int>(rng.uniform_int(4, 30));
-        choice = client.begin_fidelity_op(
-            apps::PanglossApp::kOperation,
-            {{"words", static_cast<double>(words)}});
-        if (choice.ok) world.pangloss().execute(client, words);
-        break;
-      }
-    }
+    const core::OperationChoice choice = App::begin(world, input);
     if (!choice.ok) {
       outcome = SoakOpOutcome::kNoChoice;
     } else {
+      App::execute(world, input);
       const monitor::OperationUsage usage = client.end_fidelity_op();
       outcome = SoakOpOutcome::kCompleted;
       fp.add_double(usage.elapsed);
@@ -108,6 +100,7 @@ SoakOpOutcome drive_op(World& world, SoakApp app, util::Rng& rng,
   return outcome;
 }
 
+template <typename App>
 SoakPlanResult run_plan(const SoakConfig& config, const World& tmpl,
                         std::uint64_t chaos_seed,
                         obs::Observability* run_obs) {
@@ -132,7 +125,8 @@ SoakPlanResult run_plan(const SoakConfig& config, const World& tmpl,
       config.chaos.horizon / static_cast<double>(config.ops_per_plan + 1);
   for (int k = 0; k < config.ops_per_plan; ++k) {
     world->settle(gap);
-    switch (drive_op(*world, config.app, op_rng, fp, result.violations)) {
+    switch (drive_op<App>(*world, draw_input(App{}, op_rng), fp,
+                          result.violations)) {
       case SoakOpOutcome::kCompleted: ++result.completed; break;
       case SoakOpOutcome::kNoChoice: ++result.no_choice; break;
       case SoakOpOutcome::kAborted: ++result.aborted; break;
@@ -169,56 +163,23 @@ SoakPlanResult run_plan(const SoakConfig& config, const World& tmpl,
   return result;
 }
 
-// Trained template world for the soak's application. Keys match the ones
-// the experiments use, so a soak shares cached templates with ordinary
-// scenario runs in the same process.
-std::shared_ptr<const World> soak_template(const SoakConfig& config) {
-  auto& cache = TrainedWorldCache::instance();
-  std::ostringstream key;
-  switch (config.app) {
-    case SoakApp::kSpeech: {
-      SpeechExperiment::Config ec;
-      ec.seed = config.world_seed;
-      SpeechExperiment exp(ec);
-      key << "speech|" << static_cast<int>(ec.scenario) << '|' << ec.seed
-          << '|' << ec.training_runs << '|' << ec.settle_time;
-      return cache.get(key.str(), [&exp] { return exp.trained_world(nullptr); });
-    }
-    case SoakApp::kLatex: {
-      LatexExperiment::Config ec;
-      ec.seed = config.world_seed;
-      LatexExperiment exp(ec);
-      key << "latex|" << static_cast<int>(ec.scenario) << '|' << ec.seed
-          << '|' << ec.training_runs << '|' << ec.settle_time;
-      return cache.get(key.str(), [&exp] { return exp.trained_world(nullptr); });
-    }
-    case SoakApp::kPangloss: {
-      PanglossExperiment::Config ec;
-      ec.seed = config.world_seed;
-      PanglossExperiment exp(ec);
-      key << "pangloss|" << static_cast<int>(ec.scenario) << '|' << ec.seed
-          << '|' << ec.training_runs << '|' << ec.settle_time;
-      return cache.get(key.str(), [&exp] { return exp.trained_world(nullptr); });
-    }
-  }
-  SPECTRA_REQUIRE(false, "unknown soak app");
-  return nullptr;
+int sum_over(const std::vector<SoakPlanResult>& plans,
+             int SoakPlanResult::*count) {
+  int n = 0;
+  for (const auto& p : plans) n += p.*count;
+  return n;
 }
 
 }  // namespace
 
 const char* to_string(SoakApp app) {
-  switch (app) {
-    case SoakApp::kSpeech: return "speech";
-    case SoakApp::kLatex: return "latex";
-    case SoakApp::kPangloss: return "pangloss";
-  }
-  return "?";
+  return with_app(app, [](auto a) { return decltype(a)::kName; });
 }
 
 fault::ChaosTopology soak_topology(SoakApp app) {
   fault::ChaosTopology topo;
-  if (app == SoakApp::kSpeech) {
+  if (with_app(app, [](auto a) { return decltype(a)::kTestbed; }) ==
+      Testbed::kItsy) {
     // kItsy: client 0, T20 server 1, file server 9.
     topo.links = {{kClient, kServerT20},
                   {kClient, kFileServer},
@@ -235,21 +196,15 @@ fault::ChaosTopology soak_topology(SoakApp app) {
 }
 
 int SoakReport::total_completed() const {
-  int n = 0;
-  for (const auto& p : plans) n += p.completed;
-  return n;
+  return sum_over(plans, &SoakPlanResult::completed);
 }
 
 int SoakReport::total_aborted() const {
-  int n = 0;
-  for (const auto& p : plans) n += p.aborted;
-  return n;
+  return sum_over(plans, &SoakPlanResult::aborted);
 }
 
 int SoakReport::total_no_choice() const {
-  int n = 0;
-  for (const auto& p : plans) n += p.no_choice;
-  return n;
+  return sum_over(plans, &SoakPlanResult::no_choice);
 }
 
 std::vector<std::string> SoakReport::all_violations() const {
@@ -334,27 +289,35 @@ SoakReport run_soak(const SoakConfig& config, BatchRunner& runner,
                   "soak needs at least one op per plan");
   SoakReport report;
   report.config = config;
-  // Build (or fetch) the shared template before fanning out so workers
-  // clone instead of racing to train.
-  std::shared_ptr<const World> tmpl = soak_template(config);
-  report.plans = runner.map_runs(
-      session, static_cast<std::size_t>(config.plans),
-      [&](std::size_t i, obs::Observability* run_obs) {
-        const std::uint64_t seed =
-            config.base_seed + static_cast<std::uint64_t>(i) * 7919;
-        SoakPlanResult result = run_plan(config, *tmpl, seed, run_obs);
-        if (config.replay_check) {
-          const SoakPlanResult replay =
-              run_plan(config, *tmpl, seed, nullptr);
-          result.replay_identical =
-              replay.fingerprint == result.fingerprint;
-          if (!result.replay_identical) {
-            result.violations.push_back(
-                "replay fingerprint mismatch (run vs replay clone)");
+  report.plans = with_app(config.app, [&](auto app) {
+    using App = decltype(app);
+    // Fetch the app's default trained template before fanning out, so
+    // workers clone instead of racing to train. It is the experiments'
+    // cached template, shared with ordinary scenario runs in the process.
+    typename Experiment<App>::Config ec;
+    ec.seed = config.world_seed;
+    const std::shared_ptr<const World> tmpl =
+        Experiment<App>(ec).template_world();
+    return runner.map_runs(
+        session, static_cast<std::size_t>(config.plans),
+        [&](std::size_t i, obs::Observability* run_obs) {
+          const std::uint64_t seed =
+              config.base_seed + static_cast<std::uint64_t>(i) * 7919;
+          SoakPlanResult result =
+              run_plan<App>(config, *tmpl, seed, run_obs);
+          if (config.replay_check) {
+            const SoakPlanResult replay =
+                run_plan<App>(config, *tmpl, seed, nullptr);
+            result.replay_identical =
+                replay.fingerprint == result.fingerprint;
+            if (!result.replay_identical) {
+              result.violations.push_back(
+                  "replay fingerprint mismatch (run vs replay clone)");
+            }
           }
-        }
-        return result;
-      });
+          return result;
+        });
+  });
   return report;
 }
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -268,6 +269,11 @@ struct Server::Impl {
       case MsgType::kBeginOp: {
         const BeginOpMsg m = decode_begin_op(frame.payload);
         SPECTRA_REQUIRE(c.state, "begin_op before register_app");
+        // Records have no NaN or infinity: refuse them before deciding.
+        for (const auto& [name, value] : m.params) {
+          SPECTRA_REQUIRE(std::isfinite(value),
+                          "begin parameter " + name + " must be finite");
+        }
         SessionState& st = *c.state;
         const std::uint64_t seq = m.seq == 0 ? st.seq_begun + 1 : m.seq;
         if (seq == st.seq_begun && seq > 0) {

@@ -6,9 +6,11 @@
 // real poll loop on a background thread against BlockingClient sessions:
 // partial reads/writes (via the byte-capped test hooks), 64-way concurrent
 // clients, abrupt disconnects, in-band errors, and all three shutdown
-// paths. The golden test records a scripted session and locks its
-// canonical bytes against tests/golden/serve_record.jsonl.golden, then
-// replays the golden and asserts byte-identical decisions.
+// paths. The golden tests record scripted sessions and lock their
+// canonical bytes against tests/golden/serve_record.jsonl.golden (nullop)
+// and tests/golden/serve_apps_record.jsonl.golden (one session per
+// simulated app), then replay each golden and assert byte-identical
+// decisions.
 //
 // Regenerate the golden (a reviewed event, never an accident) with
 //   SPECTRA_UPDATE_GOLDEN=1 ./build/tests/serve_test
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -472,6 +475,121 @@ TEST(ServerTest, NullopServerCountIsRangeChecked) {
   EXPECT_EQ(client.register_app("nullop", "8srv", 1).op, "null.op");
   EXPECT_TRUE(client.begin_op(BeginOpMsg{}).ok);
   EXPECT_TRUE(client.end_op().ok);
+}
+
+// A record renders numbers with std::to_chars, and its parser reads no NaN
+// or infinity. So a begin whose parameters are not all finite is refused
+// in-band before the session sees it: nothing is recorded, the session
+// keeps serving, and the record still replays.
+TEST(ServerTest, NonFiniteBeginParamsRejectedInBand) {
+  const std::string record_path =
+      ::testing::TempDir() + "/serve_nonfinite.jsonl";
+  std::remove(record_path.c_str());
+  {
+    ServeConfig cfg;
+    cfg.record_path = record_path;
+    ServerFixture fx(std::move(cfg));
+    BlockingClient client("127.0.0.1", fx.port());
+    client.hello("nonfinite");
+    client.register_app("nullop", "baseline", 1);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      BeginOpMsg begin;
+      begin.params = {{"x", bad}};
+      try {
+        client.begin_op(begin);
+        ADD_FAILURE() << "x=" << bad << " was accepted";
+      } catch (const ServerError& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(e.code(), ErrorCode::kGeneric);
+        EXPECT_NE(what.find("finite"), std::string::npos) << what;
+      }
+    }
+    BeginOpMsg begin;
+    begin.params = {{"x", 1.5}};
+    EXPECT_TRUE(client.begin_op(begin).ok);
+    EXPECT_TRUE(client.end_op().ok);
+    client.close();
+    fx.stop();
+  }
+  ReplayConfig rc;
+  rc.record_path = record_path;
+  const ReplayResult result =
+      run_replay(rc, scenario::app_service_factory());
+  EXPECT_TRUE(result.identical)
+      << "first divergence at canonical line " << result.mismatch_line
+      << "\n  expected: " << result.expected_line
+      << "\n  actual:   " << result.actual_line;
+  EXPECT_EQ(result.ops, 1u);
+}
+
+// Each app's input is range-checked before a decision: an utterance length
+// outside (0, 600] s, a sentence outside [1, 10000] words, or an unknown
+// document gets an in-band kGeneric error, is not recorded, and leaves the
+// session serving. The test never calls end_op: a daemon that accepted one
+// of these inputs would run it there (an utterance of 1e9 s never ends).
+TEST(ServerTest, AppInputsAreRangeCheckedInBand) {
+  const std::string record_path =
+      ::testing::TempDir() + "/serve_app_inputs.jsonl";
+  std::remove(record_path.c_str());
+  const auto param = [](const char* name, double value) {
+    BeginOpMsg m;
+    m.params = {{name, value}};
+    return m;
+  };
+  BeginOpMsg huge_doc;
+  huge_doc.data_tag = "huge";
+  struct Case {
+    std::string app;
+    std::vector<BeginOpMsg> bad;
+    std::string bound;  // named in every rejection
+  };
+  const std::vector<Case> cases = {
+      {"speech",
+       {param("utt_len", -1.0), param("utt_len", 0.0),
+        param("utt_len", 600.5), param("utt_len", 1e9)},
+       "(0, 600]"},
+      {"latex", {huge_doc}, "small or large"},
+      {"pangloss",
+       {param("words", 0.0), param("words", 0.5), param("words", -3.0),
+        param("words", 10001.0), param("words", 1e300)},
+       "[1, 10000]"},
+  };
+  {
+    ServeConfig cfg;
+    cfg.record_path = record_path;
+    ServerFixture fx(std::move(cfg));
+    for (const Case& c : cases) {
+      BlockingClient client("127.0.0.1", fx.port());
+      client.hello("inputs-" + c.app);
+      client.register_app(c.app, "baseline", 7);
+      for (const BeginOpMsg& begin : c.bad) {
+        try {
+          client.begin_op(begin);
+          ADD_FAILURE() << c.app << ": out-of-range input was accepted";
+        } catch (const ServerError& e) {
+          const std::string what = e.what();
+          EXPECT_EQ(e.code(), ErrorCode::kGeneric) << what;
+          EXPECT_NE(what.find(c.bound), std::string::npos) << what;
+        }
+      }
+      // The session still decides, on the app's default input.
+      EXPECT_TRUE(client.begin_op(BeginOpMsg{}).ok) << c.app;
+      client.close();
+    }
+    fx.stop();
+  }
+  ReplayConfig rc;
+  rc.record_path = record_path;
+  const ReplayResult result =
+      run_replay(rc, scenario::app_service_factory());
+  EXPECT_TRUE(result.identical)
+      << "first divergence at canonical line " << result.mismatch_line
+      << "\n  expected: " << result.expected_line
+      << "\n  actual:   " << result.actual_line;
+  EXPECT_EQ(result.sessions, 3u);
+  EXPECT_EQ(result.ops, 3u);
 }
 
 TEST(ServerTest, ShutdownFrameStopsTheLoop) {
@@ -1158,6 +1276,70 @@ TEST(ReplayGoldenTest, ScriptedSessionMatchesGoldenAndReplaysIdentically) {
       << "\n  actual:   " << result.actual_line;
   EXPECT_EQ(result.sessions, 1u);
   EXPECT_EQ(result.ops, 3u);
+}
+
+std::string apps_golden_path() {
+  return std::string(SPECTRA_GOLDEN_DIR) + "/serve_apps_record.jsonl.golden";
+}
+
+// One scripted session per simulated app, two operations each: speech with
+// utt_len 1.5 s and its default, latex on the large document and its
+// default, pangloss on 6 and 44 words.
+TEST(ReplayGoldenTest, AppSessionsMatchGoldenAndReplayIdentically) {
+  const std::string record_path =
+      ::testing::TempDir() + "/serve_apps_record_golden.jsonl";
+  std::remove(record_path.c_str());
+
+  BeginOpMsg short_utterance;
+  short_utterance.params = {{"utt_len", 1.5}};
+  BeginOpMsg large_doc;
+  large_doc.data_tag = "large";
+  BeginOpMsg six_words;
+  six_words.params = {{"words", 6.0}};
+  BeginOpMsg long_sentence;
+  long_sentence.params = {{"words", 44.0}};
+  const std::vector<std::pair<std::string, std::vector<BeginOpMsg>>> scripts =
+      {{"speech", {short_utterance, BeginOpMsg{}}},
+       {"latex", {large_doc, BeginOpMsg{}}},
+       {"pangloss", {six_words, long_sentence}}};
+  {
+    ServeConfig cfg;
+    cfg.record_path = record_path;
+    ServerFixture fx(std::move(cfg));
+    for (const auto& [app, ops] : scripts) {
+      BlockingClient client("127.0.0.1", fx.port());
+      client.hello("golden-" + app);
+      client.register_app(app, "baseline", 7);
+      for (const BeginOpMsg& begin : ops) {
+        ASSERT_TRUE(client.begin_op(begin).ok) << app;
+        ASSERT_TRUE(client.end_op().ok) << app;
+      }
+      client.close();
+    }
+    fx.stop();
+  }
+
+  const std::string recorded = canonicalize_record(read_file(record_path));
+  ASSERT_FALSE(recorded.empty());
+
+  if (update_mode()) {
+    std::ofstream out(apps_golden_path(), std::ios::binary | std::ios::trunc);
+    out << recorded;
+    ASSERT_TRUE(out.good());
+  }
+  EXPECT_EQ(recorded, read_file(apps_golden_path()))
+      << "serve record diverged from golden";
+
+  ReplayConfig rc;
+  rc.record_path = apps_golden_path();
+  const ReplayResult result =
+      run_replay(rc, scenario::app_service_factory());
+  EXPECT_TRUE(result.identical)
+      << "first divergence at canonical line " << result.mismatch_line
+      << "\n  expected: " << result.expected_line
+      << "\n  actual:   " << result.actual_line;
+  EXPECT_EQ(result.sessions, 3u);
+  EXPECT_EQ(result.ops, 6u);
 }
 
 }  // namespace
