@@ -8,6 +8,7 @@
 //     monitoring,
 //   * static local and static remote,
 //   * the zero-overhead oracle.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
@@ -48,20 +49,48 @@ int main(int argc, char** argv) {
       SpeechScenario::kBaseline, SpeechScenario::kEnergy,
       SpeechScenario::kNetwork, SpeechScenario::kCpu,
       SpeechScenario::kFileCache};
-  // One self-contained task per scenario; rows are added in scenario order
-  // afterwards, so the table is identical for any --jobs.
-  const auto rows = batch.map(scenarios.size(), [&](std::size_t i) {
-    const auto sc = scenarios[i];
-    SpeechExperiment::Config cfg;
-    cfg.scenario = sc;
-    cfg.seed = 1000;
-    SpeechExperiment exp(cfg);
+  // One sweep trial (seed 1000) per scenario: every alternative measured
+  // from the trained state, then Spectra's choice. Rows follow scenario
+  // order, so the table is identical for any --jobs.
+  const auto sweeps = batch.map(scenarios.size(), [&](std::size_t i) {
+    return sweep<SpeechExperiment>(
+        batch, nullptr, {1000},
+        [&](std::uint64_t seed, obs::Observability* trial_obs) {
+          SpeechExperiment::Config cfg;
+          cfg.scenario = scenarios[i];
+          cfg.seed = seed;
+          cfg.obs = trial_obs;
+          return cfg;
+        });
+  });
+  const auto run_of = [](const SweepResult& result,
+                         const solver::Alternative& alt) -> const MeasuredRun& {
+    const auto& labels = result.labels;
+    const auto at = std::find(labels.begin(), labels.end(),
+                              SpeechExperiment::label(alt));
+    return result.trials[0].runs[static_cast<std::size_t>(at - labels.begin())];
+  };
+
+  // RPF arbitrates local-full vs remote-full from the history it would
+  // have accumulated under baseline conditions, never monitoring
+  // resources — so every scenario is judged with baseline-era statistics.
+  const auto local_alt = JanusApp::alternative(JanusApp::kPlanLocal, 1.0);
+  const auto remote_alt =
+      JanusApp::alternative(JanusApp::kPlanRemote, 1.0, kServerT20);
+  baseline::RpfPolicy rpf(local_alt, remote_alt);
+  for (const bool remote : {false, true}) {
+    const MeasuredRun& r = run_of(sweeps[0], remote ? remote_alt : local_alt);
+    rpf.observe(remote, {r.time, r.energy, r.feasible});
+  }
+  const auto& rpf_choice = rpf.choose();
+
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const SweepResult& result = sweeps[i];
+    const SweepTrial& trial = result.trials[0];
     // Use a soft energy weight in the battery scenario so energy matters
     // to the scoreboard the way it matters to the user.
-    const double c = sc == SpeechScenario::kEnergy ? 0.5 : 0.0;
+    const double c = scenarios[i] == SpeechScenario::kEnergy ? 0.5 : 0.0;
 
-    // Ground-truth measurement of every alternative.
-    std::map<std::string, MeasuredRun> runs;
     baseline::OraclePolicy oracle(
         [&](const solver::Alternative& alt, const baseline::Outcome& o) {
           MeasuredRun r;
@@ -70,51 +99,23 @@ int main(int argc, char** argv) {
           r.energy = o.energy;
           return utility_of(r, alt, c);
         });
-    for (const auto& alt : SpeechExperiment::alternatives()) {
-      const auto run = exp.measure(alt);
-      runs[SpeechExperiment::label(alt)] = run;
-      oracle.add_measurement(
-          alt, baseline::Outcome{run.time, run.energy, run.feasible});
+    for (std::size_t a = 0; a < result.alternatives.size(); ++a) {
+      const MeasuredRun& run = trial.runs[a];
+      oracle.add_measurement(result.alternatives[a],
+                             {run.time, run.energy, run.feasible});
     }
     const double best = oracle.best_utility();
-
-    // Spectra.
-    const auto s = exp.run_spectra();
-    const double spectra_u =
-        utility_of(s, s.choice.alternative, c) / best;
-
-    // RPF: arbitrates local-full vs remote-full from the same history it
-    // would have accumulated (the training runs), never monitoring
-    // resources — so it evaluates with *baseline-era* statistics.
-    const auto local_alt = JanusApp::alternative(JanusApp::kPlanLocal, 1.0);
-    const auto remote_alt =
-        JanusApp::alternative(JanusApp::kPlanRemote, 1.0, kServerT20);
-    baseline::RpfPolicy rpf(local_alt, remote_alt);
-    {
-      SpeechExperiment::Config base_cfg = cfg;
-      base_cfg.scenario = SpeechScenario::kBaseline;
-      SpeechExperiment base_exp(base_cfg);
-      for (int i = 0; i < 3; ++i) {
-        const auto l = base_exp.measure(local_alt);
-        const auto r = base_exp.measure(remote_alt);
-        rpf.observe(false, {l.time, l.energy, l.feasible});
-        rpf.observe(true, {r.time, r.energy, r.feasible});
-      }
-    }
-    const auto rpf_choice = rpf.choose();
-    const auto rpf_run = runs.at(SpeechExperiment::label(rpf_choice));
-    const double rpf_u = utility_of(rpf_run, rpf_choice, c) / best;
-
-    const auto l_run = runs.at(SpeechExperiment::label(local_alt));
-    const double local_u = utility_of(l_run, local_alt, c) / best;
-    const auto r_run = runs.at(SpeechExperiment::label(remote_alt));
-    const double remote_u = utility_of(r_run, remote_alt, c) / best;
-
-    return std::vector<std::string>{
-        name(sc), util::Table::num(spectra_u, 2), util::Table::num(rpf_u, 2),
-        util::Table::num(local_u, 2), util::Table::num(remote_u, 2)};
-  });
-  for (const auto& row : rows) table.add_row(row);
+    const auto cell = [&](const MeasuredRun& run,
+                          const solver::Alternative& alt) {
+      return util::Table::num(utility_of(run, alt, c) / best, 2);
+    };
+    const auto placed = [&](const solver::Alternative& alt) {
+      return cell(run_of(result, alt), alt);
+    };
+    table.add_row({name(scenarios[i]),
+                   cell(trial.spectra, trial.spectra.choice.alternative),
+                   placed(rpf_choice), placed(local_alt), placed(remote_alt)});
+  }
   std::cout << table.to_string();
   std::cout << "\nRPF tracks Spectra only while the environment matches its "
                "history; it cannot react to\nresource changes it has not "

@@ -3,6 +3,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,10 +19,10 @@ namespace spectra::bench {
 // thread; default 1 (sequential). Table output is bit-identical for any N —
 // runs are scheduled across workers but aggregated in a fixed order.
 inline std::size_t jobs_from_args(int argc, char** argv) {
-  long requested = -1;
+  std::optional<std::string> requested;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--jobs=", 0) == 0) requested = std::atol(arg.c_str() + 7);
+    if (arg.rfind("--jobs=", 0) == 0) requested = arg.substr(7);
   }
   return scenario::resolve_jobs(requested);
 }

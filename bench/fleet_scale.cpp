@@ -8,8 +8,8 @@
 //     aggregate energy, Jain's fairness index, and the state fingerprint
 //     (the stdout table carries only these, so its bytes are identical for
 //     any --jobs);
-//   * wall-clock throughput — decisions/sec and decision-latency
-//     percentiles, reported only in the --json output's "wall" sections;
+//   * wall-clock throughput — run seconds, decisions/sec and events/sec,
+//     reported only in the --json output's "wall" sections;
 //   * memory — peak RSS and allocator high-water, reported only in the
 //     --json output's "mem" section (bytes-per-client is meaningful when a
 //     single scale runs per process, which is how scripts/bench.sh drives
@@ -23,8 +23,9 @@
 // --clients=N runs a single scale of N clients (servers default to N/125,
 // min 2; override with --servers) instead of the default ladder
 // 64/256/1000/10k/100k. Options are validated against the fleet_scale
-// entry in cli/flags.cpp — an unknown flag, a zero/negative count, or an
-// absurd scale prints usage and exits 2 before any work starts.
+// entry in cli/flags.cpp — an unknown flag, a zero/negative count, an
+// absurd scale, or a --jobs outside [0, 256] prints usage and exits 2
+// before any work starts.
 // --islands/--lookahead/--workload forward to FleetConfig (islands=0 =
 // auto shard; the scaling-curve stage of scripts/bench.sh sweeps --jobs at
 // fixed islands and reads the events_per_sec field from the JSON).
@@ -38,13 +39,13 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "cli/args.h"
 #include "cli/flags.h"
 #include "core/admission.h"
 #include "exec/thread_pool.h"
 #include "obs/memaudit.h"
 #include "obs/trace.h"
+#include "scenario/batch.h"
 #include "scenario/fleet.h"
 #include "util/assert.h"
 #include "util/table.h"
@@ -106,6 +107,7 @@ int main(int argc, char** argv) {
   std::size_t single_servers = 0;
   core::AdmissionPolicy policy = core::AdmissionPolicy::kWeightedFair;
   Knobs knobs;
+  std::size_t jobs = 1;
   try {
     // Parse as the "fleet_scale" command so the shared per-command flag
     // table rejects unknown options the same way the spectra CLI does.
@@ -120,7 +122,7 @@ int main(int argc, char** argv) {
       // What the pool would actually use for --jobs=0: one worker per
       // hardware thread (floor 1). bench.sh records both numbers.
       const std::size_t hw = exec::ThreadPool::hardware_concurrency();
-      exec::ThreadPool pool(scenario::resolve_jobs(0));
+      exec::ThreadPool pool(scenario::resolve_jobs("0"));
       std::cout << "hardware_concurrency " << hw << "\n"
                 << "pool_workers " << pool.size() << "\n";
       return 0;
@@ -137,24 +139,18 @@ int main(int argc, char** argv) {
     SPECTRA_REQUIRE(pol == "fifo" || pol == "wfq",
                     "--policy must be fifo or wfq, got " + pol);
     if (pol == "fifo") policy = core::AdmissionPolicy::kFifo;
-    const long islands = args.get_int("islands", 0);
-    SPECTRA_REQUIRE(islands >= 0 && islands <= kMaxIslands,
-                    "--islands must be in [0, " +
-                        std::to_string(kMaxIslands) + "], got " +
-                        std::to_string(islands));
-    knobs.islands = static_cast<std::size_t>(islands);
+    knobs.islands = args.get_bounded("islands", 0, 0, kMaxIslands);
     knobs.lookahead = args.get_double("lookahead", 0.0);
     SPECTRA_REQUIRE(knobs.lookahead >= 0.0, "--lookahead must be >= 0");
     const std::string wl = args.get("workload", "mixed");
     SPECTRA_REQUIRE(wl == "mixed" || wl == "speech",
                     "--workload must be mixed or speech, got " + wl);
     if (wl == "speech") knobs.workload = FleetWorkload::kSpeech;
-    SPECTRA_REQUIRE(args.get_int("jobs", 0) >= 0, "--jobs must be >= 0");
+    jobs = scenario::resolve_jobs(args.option("jobs"));
   } catch (const util::ContractError& err) {
     std::cerr << "fleet_scale: " << err.what() << "\n";
     return usage(std::cerr);
   }
-  const std::size_t jobs = bench::jobs_from_args(argc, argv);
 
   std::vector<Scale> scales;
   if (single_clients > 0) {

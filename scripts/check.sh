@@ -158,11 +158,12 @@ sys.exit(1 if failed else 0)
 PYEOF
 
 # Then the crash-recovery gate: kill -9 a recording daemon mid-loadgen,
-# restart it on the same port with --resume pointing at its own record
-# (the write-ahead log), and require (a) the surviving resilient client
-# finishes every op, (b) the combined pre+post-crash record replays
-# byte-identically in-process, and (c) it is byte-identical (in canonical
-# form, lifecycle lines excluded) to a run that never crashed.
+# restart it on the same port with --resume on its own record (the
+# write-ahead log), and require (a) the surviving client finishes every op,
+# (b) the combined pre+post-crash record replays byte-identically
+# in-process, (c) it is byte-identical (in canonical form, lifecycle lines
+# excluded) to a run that never crashed, and (d) a copy with one corrupted
+# digit is refused at resume: the daemon exits non-zero without listening.
 WAL="$SERVE_TMP/kill_wal.jsonl"
 REF="$SERVE_TMP/kill_ref.jsonl"
 start_daemon "$SERVE_TMP/kill_serve.log" --record="$WAL"
@@ -175,7 +176,7 @@ LOADGEN_PID=$!
 sleep 1
 kill -9 "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
-"$BUILD/src/cli/spectra" serve --port="$PORT" --record="$WAL" --resume="$WAL" \
+"$BUILD/src/cli/spectra" serve --port="$PORT" --record="$WAL" --resume \
     > "$SERVE_TMP/kill_serve2.log" 2>&1 &
 SERVE_PID=$!
 LOADGEN_RC=0; wait "$LOADGEN_PID" || LOADGEN_RC=$?
@@ -225,6 +226,25 @@ if wal != ref:
 print(f"  kill -9 + --resume: {len(wal)} canonical lines, byte-identical "
       f"to the uninterrupted run")
 PYEOF
+CORRUPT="$SERVE_TMP/corrupt_wal.jsonl"
+python3 - "$WAL" "$CORRUPT" <<'PYEOF'
+import sys
+# Bump one digit of the first recorded pred_time.
+text = open(sys.argv[1]).read()
+i = text.index('"pred_time":') + len('"pred_time":')
+while not text[i].isdigit():
+    i += 1
+text = text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+open(sys.argv[2], 'w').write(text)
+PYEOF
+CORRUPT_RC=0
+timeout 20 "$BUILD/src/cli/spectra" serve --port=0 --record="$CORRUPT" \
+    --resume > "$SERVE_TMP/corrupt_serve.log" 2>&1 || CORRUPT_RC=$?
+if [ "$CORRUPT_RC" -eq 0 ] || grep -q "listening on" "$SERVE_TMP/corrupt_serve.log"; then
+  echo "a WAL with a corrupted pred_time was resumed (exit $CORRUPT_RC):" >&2
+  cat "$SERVE_TMP/corrupt_serve.log" >&2; exit 1
+fi
+echo "  corrupted WAL refused at resume (exit $CORRUPT_RC)"
 
 echo "== sanitize smoke (address) =="
 # obs_test covers the trace/metrics hot paths; fleet_test drives the

@@ -68,13 +68,18 @@ double Args::get_double(const std::string& name, double def) const {
   return out;
 }
 
+std::size_t Args::get_bounded(const std::string& name, long def, long lo,
+                              long hi) const {
+  const long v = get_int(name, def);
+  SPECTRA_REQUIRE(v >= lo && v <= hi,
+                  "--" + name + " must be in [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + "], got " + std::to_string(v));
+  return static_cast<std::size_t>(v);
+}
+
 std::size_t Args::get_count(const std::string& name, long def,
                             long cap) const {
-  const long v = get_int(name, def);
-  SPECTRA_REQUIRE(v >= 1 && v <= cap,
-                  "--" + name + " must be in [1, " + std::to_string(cap) +
-                      "], got " + std::to_string(v));
-  return static_cast<std::size_t>(v);
+  return get_bounded(name, def, 1, cap);
 }
 
 std::set<std::string> Args::given() const {

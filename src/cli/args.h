@@ -31,10 +31,12 @@ class Args {
   long get_int(const std::string& name, long def) const;
   double get_double(const std::string& name, double def) const;
 
-  // Positive count option (--clients=N, --ops=N, ...): validates
-  // 1 <= N <= cap on the SIGNED value before converting, so a negative
-  // like --clients=-1 cannot wrap to ~2^64 through a size_t cast and
-  // sail past a later >= 1 check.
+  // Bounded integer option: validates lo <= N <= hi on the SIGNED value
+  // before converting, so a negative like --clients=-1 cannot wrap to
+  // ~2^64 through a size_t cast and sail past a later check.
+  std::size_t get_bounded(const std::string& name, long def, long lo,
+                          long hi) const;
+  // Positive count option (--clients=N, --ops=N, ...): get_bounded from 1.
   std::size_t get_count(const std::string& name, long def, long cap) const;
 
   // Names of every option/flag present (for unknown-option checking).

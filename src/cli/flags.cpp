@@ -41,7 +41,7 @@ const std::map<std::string, std::set<std::string>>& command_table() {
       {"replay", {"host", "port", "verbose"}},
       {"loadgen",
        {"host", "port", "clients", "ops", "app", "scenario", "seed", "chaos",
-        "chaos-seed", "resilient", "json", "verbose"}},
+        "chaos-seed", "json", "verbose"}},
       {"help", {"verbose"}},
   };
   return table;

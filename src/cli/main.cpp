@@ -67,19 +67,19 @@ usage:
                    [--jobs=N] [--fault-plan=FILE] [--json=FILE]
                    [--trace=FILE] [--metrics=FILE]
   spectra faults   --plan=FILE   (validate a fault plan, print canonical form)
-  spectra serve    [--port=N] [--host=ADDR] [--record=FILE] [--resume=FILE]
+  spectra serve    [--port=N] [--host=ADDR] [--record=FILE [--resume]]
                    [--max-conns=N] [--max-sessions=N] [--idle-timeout=SECS]
                    [--frame-timeout=SECS] [--stats-json=FILE]
   spectra replay   <record> [--host=ADDR] [--port=N]
   spectra loadgen  --port=N [--host=ADDR] [--clients=N] [--ops=N]
                    [--app=nullop|speech|latex|pangloss] [--scenario=S]
-                   [--seed=N] [--chaos=X] [--chaos-seed=N] [--resilient]
-                   [--json=FILE]
+                   [--seed=N] [--chaos=X] [--chaos-seed=N] [--json=FILE]
   spectra scenarios
 
 flags: --verbose (component logs; SPECTRA_LOG=debug for more)
-parallelism: --jobs=N fans measured runs across N worker threads (0 = one
-  per hardware thread; default 1, or SPECTRA_JOBS). Results, traces, and
+parallelism: --jobs=N fans measured runs across N worker threads, N in
+  [0, 256] (0 = one per hardware thread; default 1, or SPECTRA_JOBS, which
+  must be in the same range). Results, traces, and
   metrics are merged in deterministic run order, so output is bit-identical
   for any N. SPECTRA_REUSE=0 disables trained-world reuse (retrain per run).
 observability: --trace=FILE writes one JSONL event per decision, operation
@@ -115,19 +115,19 @@ daemon (`spectra serve`): a non-blocking loopback socket server driving the
   fidelity op, resume, status, shutdown over a length-prefixed binary
   protocol). --port=0 picks an ephemeral port (printed on stdout).
   --record=FILE appends every decision/result as deterministic JSONL and
-  doubles as a write-ahead log: after a crash, --resume=FILE rebuilds every
-  session before accepting traffic (--resume may equal --record to continue
-  the same log in place). `spectra replay` re-runs a record (in-process, or
-  against a daemon with --port) and exits non-zero unless decisions match
-  byte-for-byte. Self-protection: --max-sessions / --max-conns shed excess
-  load with a retryable error, --idle-timeout / --frame-timeout close
-  stalled or slowloris connections (0 disables). `spectra loadgen` floods a
-  daemon with concurrent loopback clients and reports throughput/latency;
-  --chaos=X injects seeded wire faults (delays, fragmented frames, stalls,
-  corrupt headers, RST aborts; X scales the fault rate) through
-  self-healing clients that reconnect, resume their sessions, and re-issue
-  idempotently — --resilient uses the same clients with clean sends.
-  SIGINT/SIGTERM shut the daemon down cleanly (record flushed).
+  doubles as a write-ahead log: after a crash, --record=FILE --resume replays
+  that log, refuses it unless it replays byte-for-byte, rebuilds every
+  session, and keeps appending to it. `spectra replay` re-runs a record
+  (in-process, or against a daemon with --port) and exits non-zero unless
+  decisions match byte-for-byte. Self-protection: --max-sessions /
+  --max-conns shed excess load with a retryable error, --idle-timeout /
+  --frame-timeout close stalled or slowloris connections (0 disables).
+  `spectra loadgen` floods a daemon with concurrent loopback clients that
+  reconnect, resume their sessions, and re-issue idempotently, and reports
+  throughput/latency; --chaos=X makes them inject seeded wire faults
+  (delays, fragmented frames, stalls, corrupt headers, RST aborts; X scales
+  the fault rate). SIGINT/SIGTERM shut the daemon down cleanly (record
+  flushed).
 scenarios:
   speech:   baseline energy network cpu file-cache
   latex:    baseline file-cache reintegrate energy
@@ -139,7 +139,7 @@ scenarios:
 // Worker count for batch commands: --jobs, else SPECTRA_JOBS, else 1.
 // 0 means one worker per hardware thread.
 std::size_t jobs_arg(const Args& args) {
-  return resolve_jobs(args.get_int("jobs", -1));
+  return resolve_jobs(args.option("jobs"));
 }
 
 // --health / --failover knobs for the run commands. Returns an empty
@@ -288,12 +288,8 @@ int cmd_overhead(const Args& args) {
   OverheadExperiment::Config cfg;
   // Overhead servers take machine ids 1..N, which must stay below the file
   // server's id.
-  const long servers = args.get_int("servers", 1);
-  const long max_servers = static_cast<long>(kFileServer) - 1;
-  SPECTRA_REQUIRE(servers >= 0 && servers <= max_servers,
-                  "--servers must be in [0, " + std::to_string(max_servers) +
-                      "], got " + std::to_string(servers));
-  cfg.servers = static_cast<std::size_t>(servers);
+  cfg.servers = args.get_bounded("servers", 1, 0,
+                                 static_cast<long>(kFileServer) - 1);
   cfg.measured_runs =
       static_cast<int>(args.get_count("runs", 200, 1'000'000));
   cfg.obs = obs.ptr();
@@ -401,6 +397,11 @@ int cmd_chaos(const Args& args) {
   return clean ? 0 : 1;
 }
 
+// Per-server admission sizes: every server reserves its queue and slots up
+// front, so the caps stop a typo from exhausting memory.
+constexpr long kMaxQueueBound = 4096;
+constexpr long kMaxSlots = 64;
+
 int cmd_fleet(const Args& args) {
   FleetConfig cfg;
   cfg.clients = args.get_count("clients", 1000, 1'000'000);
@@ -413,9 +414,8 @@ int cmd_fleet(const Args& args) {
   cfg.admission.policy = policy == "fifo" ? core::AdmissionPolicy::kFifo
                                           : core::AdmissionPolicy::kWeightedFair;
   cfg.admission.queue_bound =
-      static_cast<std::size_t>(args.get_int("queue-bound", 64));
-  cfg.admission.service_slots =
-      static_cast<std::size_t>(args.get_int("slots", 4));
+      args.get_bounded("queue-bound", 64, 0, kMaxQueueBound);
+  cfg.admission.service_slots = args.get_count("slots", 4, kMaxSlots);
   cfg.islands = static_cast<std::size_t>(args.get_int("islands", 0));
   cfg.lookahead = args.get_double("lookahead", 0.0);
   const std::string workload = args.get("workload", "mixed");
@@ -489,7 +489,14 @@ int cmd_serve(const Args& args) {
   SPECTRA_REQUIRE(port >= 0 && port <= 65535, "--port must be 0..65535");
   cfg.port = static_cast<std::uint16_t>(port);
   cfg.record_path = args.get("record", "");
-  cfg.resume_path = args.get("resume", "");
+  // --resume continues the --record log in place. A separate resume file
+  // would leave a record whose sessions begin mid-history, which no replay
+  // accepts; a resume without a record would recover nothing.
+  SPECTRA_REQUIRE(!args.option("resume"),
+                  "--resume takes no file: it recovers the --record log");
+  cfg.resume = args.has_flag("resume");
+  SPECTRA_REQUIRE(!cfg.resume || !cfg.record_path.empty(),
+                  "--resume needs --record=FILE, the log it recovers");
   cfg.max_connections = args.get_count("max-conns", 256, 65536);
   cfg.max_sessions = args.get_count("max-sessions", 256, 65536);
   cfg.idle_timeout_s = args.get_double("idle-timeout", cfg.idle_timeout_s);
@@ -503,7 +510,7 @@ int cmd_serve(const Args& args) {
   std::cout << "spectra serve: listening on " << cfg.host << ":" << bound
             << "\n"
             << std::flush;
-  if (!cfg.resume_path.empty()) {
+  if (cfg.resume) {
     const serve::Server::Stats& s = server.stats();
     std::cout << "spectra serve: recovered " << s.wal_sessions
               << " session(s), " << s.wal_ops << " op(s) from WAL";
@@ -518,43 +525,24 @@ int cmd_serve(const Args& args) {
             << (stats.shutdown_frame ? "shutdown frame" : "signal") << "), "
             << stats.connections << " connection(s), " << stats.ops
             << " op(s) served\n";
-  // Self-protection ledger: every refused/closed/dropped unit of work is
-  // accounted somewhere below (and mirrored as serve.* trace lines).
-  std::cout << "spectra serve: shed=" << stats.sheds
-            << " idle_timeouts=" << stats.idle_timeouts
-            << " frame_timeouts=" << stats.frame_timeouts
-            << " slow_consumer_closes=" << stats.slow_consumer_closes
-            << " protocol_errors=" << stats.protocol_errors
-            << " dropped_frames=" << stats.dropped_frames
-            << " dropped_bytes=" << stats.dropped_bytes << "\n";
-  std::cout << "spectra serve: parked=" << stats.parked
-            << " resumed=" << stats.resumed
-            << " replayed_cached=" << stats.replayed_cached
-            << " wal_sessions=" << stats.wal_sessions
-            << " wal_ops=" << stats.wal_ops << "\n";
+  // The ledger: every refused/closed/dropped unit of work is accounted
+  // here (and mirrored as serve.* trace lines).
+  std::cout << "spectra serve:";
+  for (const auto& [key, counter] : serve::kStatsCounters) {
+    std::cout << " " << key << "=" << stats.*counter;
+  }
+  std::cout << "\n";
 
   const std::string json_path = args.get("stats-json", "");
   if (!json_path.empty()) {
     std::ofstream out(json_path);
     SPECTRA_REQUIRE(out.good(), "cannot write " + json_path);
-    out << "{\n"
-        << "  \"connections\": " << stats.connections << ",\n"
-        << "  \"ops\": " << stats.ops << ",\n"
-        << "  \"sheds\": " << stats.sheds << ",\n"
-        << "  \"idle_timeouts\": " << stats.idle_timeouts << ",\n"
-        << "  \"frame_timeouts\": " << stats.frame_timeouts << ",\n"
-        << "  \"slow_consumer_closes\": " << stats.slow_consumer_closes
-        << ",\n"
-        << "  \"protocol_errors\": " << stats.protocol_errors << ",\n"
-        << "  \"dropped_frames\": " << stats.dropped_frames << ",\n"
-        << "  \"dropped_bytes\": " << stats.dropped_bytes << ",\n"
-        << "  \"parked\": " << stats.parked << ",\n"
-        << "  \"resumed\": " << stats.resumed << ",\n"
-        << "  \"replayed_cached\": " << stats.replayed_cached << ",\n"
-        << "  \"wal_sessions\": " << stats.wal_sessions << ",\n"
-        << "  \"wal_ops\": " << stats.wal_ops << ",\n"
-        << "  \"wal_truncated_bytes\": " << stats.wal_truncated_bytes << "\n"
-        << "}\n";
+    const char* sep = "{\n";
+    for (const auto& [key, counter] : serve::kStatsCounters) {
+      out << sep << "  \"" << key << "\": " << stats.*counter;
+      sep = ",\n";
+    }
+    out << "\n}\n";
   }
   return 0;
 }
@@ -602,7 +590,6 @@ int cmd_loadgen(const Args& args) {
   cfg.chaos_intensity = args.get_double("chaos", 0.0);
   SPECTRA_REQUIRE(cfg.chaos_intensity >= 0.0, "--chaos must be >= 0");
   cfg.chaos_seed = static_cast<std::uint64_t>(args.get_int("chaos-seed", 0));
-  cfg.resilient = args.has_flag("resilient") || cfg.chaos_intensity > 0.0;
 
   const serve::LoadgenStats s = serve::run_loadgen(cfg);
   util::Table table("loadgen: " + std::to_string(cfg.clients) +
@@ -615,13 +602,11 @@ int cmd_loadgen(const Args& args) {
   table.add_row({"requests/sec", util::Table::num(s.rps, 1)});
   table.add_row({"p50 latency (ms)", util::Table::num(s.p50_ms, 3)});
   table.add_row({"p99 latency (ms)", util::Table::num(s.p99_ms, 3)});
-  if (cfg.resilient) {
-    table.add_row({"faults injected", std::to_string(s.faults_injected)});
-    table.add_row({"reconnects", std::to_string(s.reconnects)});
-    table.add_row({"session resumes", std::to_string(s.resumes)});
-    table.add_row({"re-issued requests", std::to_string(s.reissues)});
-    table.add_row({"backoff waits", std::to_string(s.retries)});
-  }
+  table.add_row({"faults injected", std::to_string(s.faults_injected)});
+  table.add_row({"reconnects", std::to_string(s.reconnects)});
+  table.add_row({"session resumes", std::to_string(s.resumes)});
+  table.add_row({"re-issued requests", std::to_string(s.reissues)});
+  table.add_row({"backoff waits", std::to_string(s.retries)});
   std::cout << table.to_string();
   if (s.errors > 0) {
     std::cerr << "loadgen: first error: " << s.first_error << "\n";

@@ -1,7 +1,10 @@
 #include "scenario/batch.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/assert.h"
 
 namespace spectra::scenario {
 
@@ -12,14 +15,26 @@ bool default_reuse_trained_world() {
          std::strcmp(env, "false") != 0;
 }
 
-std::size_t resolve_jobs(long requested) {
-  if (requested < 0) {
-    const char* env = std::getenv("SPECTRA_JOBS");
-    requested = env != nullptr ? std::atol(env) : -1;
-    if (requested < 0) return 1;
-  }
-  if (requested == 0) return exec::ThreadPool::hardware_concurrency();
-  return static_cast<std::size_t>(requested);
+namespace {
+
+std::size_t checked_jobs(const std::string& text, const std::string& source) {
+  char* end = nullptr;
+  errno = 0;
+  const long jobs = std::strtol(text.c_str(), &end, 10);
+  SPECTRA_REQUIRE(!text.empty() && *end == '\0' && errno == 0 && jobs >= 0 &&
+                      jobs <= kMaxJobs,
+                  source + " must be an integer in [0, " +
+                      std::to_string(kMaxJobs) + "], got " + text);
+  return jobs == 0 ? exec::ThreadPool::hardware_concurrency()
+                   : static_cast<std::size_t>(jobs);
+}
+
+}  // namespace
+
+std::size_t resolve_jobs(const std::optional<std::string>& requested) {
+  if (requested) return checked_jobs(*requested, "--jobs");
+  const char* env = std::getenv("SPECTRA_JOBS");
+  return env != nullptr ? checked_jobs(env, "SPECTRA_JOBS") : 1;
 }
 
 BatchRunner::BatchRunner(std::size_t jobs) {

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,10 +38,15 @@ namespace spectra::scenario {
 // baseline).
 bool default_reuse_trained_world();
 
-// Turn a --jobs request into a worker count: a negative request (no
-// --jobs) falls back to SPECTRA_JOBS, then to 1; 0 means one worker per
-// hardware thread.
-std::size_t resolve_jobs(long requested);
+// Most workers a --jobs or SPECTRA_JOBS request may ask for: each is an OS
+// thread, and every script passes at most the host's core count.
+inline constexpr long kMaxJobs = 256;
+
+// Turn a --jobs value (its text, nullopt without --jobs) into a worker
+// count: without one, SPECTRA_JOBS decides, and without that, 1; 0 means one
+// worker per hardware thread. Throws util::ContractError, before any pool
+// exists, unless the value is an integer in [0, kMaxJobs].
+std::size_t resolve_jobs(const std::optional<std::string>& requested);
 
 class BatchRunner {
  public:

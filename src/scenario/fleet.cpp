@@ -566,9 +566,7 @@ void FleetWorld::island_decisions(std::size_t island, util::Seconds t1) {
     std::uint32_t& cursor = store_.next_op[client];
     while (cursor < sched.size() && sched[cursor].at <= t1) {
       const FleetOp& op = sched[cursor++];
-      const double w0 = wall_now_ms();
       Decision d = decide(island, client, op, step_end);
-      ps.wall_ms.push_back(wall_now_ms() - w0);
       ++store_.decisions[client];
       if (trace_on_) {
         obs::TraceEvent ev("fleet_decision", op.at);
@@ -897,7 +895,6 @@ FleetReport FleetWorld::finish(exec::ThreadPool* pool) {
 
   const std::size_t nclients = store_.next_op.size();
   std::vector<double> slowdowns;
-  std::vector<double> wall_ms;
   for (std::size_t c = 0; c < nclients; ++c) {
     r.decisions += store_.decisions[c];
     r.ops_completed += store_.completed[c];
@@ -932,9 +929,6 @@ FleetReport FleetWorld::finish(exec::ThreadPool* pool) {
   std::vector<double> latencies;
   latencies.reserve(samples.size());
   for (const LatSample& s : samples) latencies.push_back(s.latency_s);
-  for (const PoolStore& pool : pools_) {
-    wall_ms.insert(wall_ms.end(), pool.wall_ms.begin(), pool.wall_ms.end());
-  }
   if (!latencies.empty()) {
     r.latency_mean_s = util::mean_of(latencies);
     r.latency_p50_s = util::percentile_value(latencies, 50.0);
@@ -974,10 +968,6 @@ FleetReport FleetWorld::finish(exec::ThreadPool* pool) {
   r.fingerprint = state_fingerprint();
 
   r.wall_seconds = wall_seconds_;
-  if (!wall_ms.empty()) {
-    r.decision_wall_p50_ms = util::percentile_value(wall_ms, 50.0);
-    r.decision_wall_p99_ms = util::percentile_value(wall_ms, 99.0);
-  }
   if (wall_seconds_ > 0.0) {
     r.decisions_per_wall_sec =
         static_cast<double>(r.decisions) / wall_seconds_;
@@ -1014,8 +1004,6 @@ FleetReport FleetWorld::finish(exec::ThreadPool* pool) {
     }
     // Wall-clock metrics carry the ".wall_ms" suffix so determinism checks
     // and goldens can strip them.
-    obs::Histogram& wall = m.histogram("fleet.decision.wall_ms");
-    for (double x : wall_ms) wall.observe(x);
     m.histogram("fleet.run.wall_ms").observe(wall_seconds_ * 1e3);
     if (session_->tracing()) {
       // Island decomposition header (multi-island runs only, so legacy
@@ -1086,10 +1074,6 @@ std::string FleetReport::to_json() const {
      << "\",\n";
   os << "  \"wall\": {\n";
   os << "    \"seconds\": " << obs::format_double(wall_seconds) << ",\n";
-  os << "    \"decision_p50_ms\": "
-     << obs::format_double(decision_wall_p50_ms) << ",\n";
-  os << "    \"decision_p99_ms\": "
-     << obs::format_double(decision_wall_p99_ms) << ",\n";
   os << "    \"decisions_per_sec\": "
      << obs::format_double(decisions_per_wall_sec) << ",\n";
   os << "    \"events_per_sec\": "

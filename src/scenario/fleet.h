@@ -29,9 +29,10 @@
 //     background factor.
 //
 //   * FleetReport — fleet-level metrics: p50/p99 end-to-end operation
-//     latency (virtual, deterministic), wall-clock decision latency
-//     percentiles (real, metrics-only), server utilization, aggregate
-//     energy, and Jain's fairness index across clients.
+//     latency (virtual, deterministic), server utilization, aggregate
+//     energy, Jain's fairness index across clients, and the run's wall
+//     time and throughput (real, never in goldens or stdout tables; no
+//     decision is timed on its own).
 //
 // Determinism: the island partition and lookahead are pure functions of the
 // scenario (never of --jobs), decisions are pure functions of (client
@@ -227,8 +228,6 @@ struct FleetReport {
 
   // Wall-clock measurements (real time; never in goldens or stdout tables).
   double wall_seconds = 0.0;
-  double decision_wall_p50_ms = 0.0;
-  double decision_wall_p99_ms = 0.0;
   double decisions_per_wall_sec = 0.0;
   // Simulation throughput: (decisions + completions) per wall second — the
   // scaling-curve metric events/sec-vs-cores benches track.
@@ -345,7 +344,6 @@ class FleetWorld {
     std::int32_t run_free = -1;      // free-list head into run_nodes
     std::vector<Decision> decisions;     // remote picks, drained every tick
     std::vector<LatSample> latencies;    // per completed op, virtual time
-    std::vector<double> wall_ms;         // per decision, real; metrics only
     std::size_t op_bound = 0;  // total scheduled ops over member clients
 
     std::int32_t alloc_run() {
@@ -365,7 +363,6 @@ class FleetWorld {
       run_nodes.reserve(op_bound);
       decisions.reserve(op_bound);
       latencies.reserve(op_bound);
-      wall_ms.reserve(op_bound);
     }
   };
 

@@ -53,11 +53,6 @@ BlockingClient::BlockingClient(const std::string& host, std::uint16_t port) {
 
 BlockingClient::~BlockingClient() { close(); }
 
-BlockingClient::BlockingClient(BlockingClient&& other) noexcept
-    : fd_(other.fd_), reader_(std::move(other.reader_)) {
-  other.fd_ = -1;
-}
-
 void BlockingClient::close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -113,8 +108,13 @@ Frame BlockingClient::read_frame() {
   }
 }
 
-Frame BlockingClient::call(const std::string& frame_bytes, MsgType expect) {
-  send_raw(frame_bytes);
+Frame BlockingClient::call(const std::string& frame_bytes, MsgType expect,
+                           const SendHook& send) {
+  if (send) {
+    send(*this, frame_bytes);
+  } else {
+    send_raw(frame_bytes);
+  }
   const Frame reply = read_frame();
   if (reply.type == MsgType::kError) {
     const ErrorMsg e = decode_error(reply.payload);
@@ -145,13 +145,15 @@ RegisterOkMsg BlockingClient::register_app(const std::string& app,
   return decode_register_ok(reply.payload);
 }
 
-core::ServiceDecision BlockingClient::begin_op(const BeginOpMsg& msg) {
-  const Frame reply = call(encode_begin_op(msg), MsgType::kBeginOk);
+core::ServiceDecision BlockingClient::begin_op(const BeginOpMsg& msg,
+                                               const SendHook& send) {
+  const Frame reply = call(encode_begin_op(msg), MsgType::kBeginOk, send);
   return decode_begin_ok(reply.payload);
 }
 
-core::ServiceOpResult BlockingClient::end_op(std::uint64_t seq) {
-  const Frame reply = call(encode_end_op(seq), MsgType::kEndOk);
+core::ServiceOpResult BlockingClient::end_op(std::uint64_t seq,
+                                             const SendHook& send) {
+  const Frame reply = call(encode_end_op(seq), MsgType::kEndOk, send);
   return decode_end_ok(reply.payload);
 }
 
@@ -197,10 +199,9 @@ auto ResilientClient::with_retry(Fn&& fn) -> decltype(fn()) {
       client_.reset();
       if (attempt >= config_.retry.max_attempts) throw;
     } catch (const ServerError& e) {
-      if (e.code() == ErrorCode::kProtocol) {
+      if (e.code() == ErrorCode::kProtocol ||
+          e.code() == ErrorCode::kShuttingDown) {
         // The daemon is about to drop this connection.
-        client_.reset();
-      } else if (e.code() == ErrorCode::kShuttingDown) {
         client_.reset();
       } else if (!retryable(e.code())) {
         throw;
@@ -274,23 +275,9 @@ core::ServiceDecision ResilientClient::begin_op(BeginOpMsg msg) {
   msg.seq = seq;
   return with_retry([&] {
     ensure_session();
-    const std::string bytes = encode_begin_op(msg);
-    if (send_hook_) {
-      send_hook_(*client_, bytes);
-    } else {
-      client_->send_raw(bytes);
-    }
-    const Frame reply = client_->read_frame();
-    if (reply.type == MsgType::kError) {
-      const ErrorMsg e = decode_error(reply.payload);
-      throw ServerError(e.code, e.message);
-    }
-    if (reply.type != MsgType::kBeginOk) {
-      throw ProtocolError(std::string("expected begin_ok, daemon sent ") +
-                          to_token(reply.type));
-    }
+    const core::ServiceDecision d = client_->begin_op(msg, send_hook_);
     seq_begun_ = seq;
-    return decode_begin_ok(reply.payload);
+    return d;
   });
 }
 
@@ -299,30 +286,9 @@ core::ServiceOpResult ResilientClient::end_op() {
   const std::uint64_t seq = seq_begun_;
   return with_retry([&] {
     ensure_session();
-    const std::string bytes = encode_end_op(seq);
-    if (send_hook_) {
-      send_hook_(*client_, bytes);
-    } else {
-      client_->send_raw(bytes);
-    }
-    const Frame reply = client_->read_frame();
-    if (reply.type == MsgType::kError) {
-      const ErrorMsg e = decode_error(reply.payload);
-      throw ServerError(e.code, e.message);
-    }
-    if (reply.type != MsgType::kEndOk) {
-      throw ProtocolError(std::string("expected end_ok, daemon sent ") +
-                          to_token(reply.type));
-    }
+    const core::ServiceOpResult r = client_->end_op(seq, send_hook_);
     seq_completed_ = seq;
-    return decode_end_ok(reply.payload);
-  });
-}
-
-StatusOkMsg ResilientClient::status() {
-  return with_retry([&] {
-    ensure_session();
-    return client_->status();
+    return r;
   });
 }
 

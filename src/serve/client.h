@@ -1,8 +1,9 @@
 // A small blocking client for the serve daemon's wire protocol.
 //
-// Used by `spectra loadgen`, `spectra replay`, and the serve tests. One
-// request in flight at a time: call() writes a frame (looping over partial
-// writes) and reads until the matching reply frame arrives.
+// Used by `spectra replay`, the serve tests and, under ResilientClient,
+// `spectra loadgen`. One request in flight at a time: call() writes a frame
+// (looping over partial writes, or through a caller's send hook) and reads
+// until the matching reply frame arrives.
 //
 // Failures surface as a two-level taxonomy mirroring rpc::ErrorKind:
 //   * TransportError — the connection itself failed (connect refused,
@@ -19,7 +20,8 @@
 // session with kResume (sessions survive on the server parked or
 // WAL-replayed), and re-sends the request with the same seq — the server
 // answers re-issues from its reply cache, so an op is never run twice.
-// This is what lets loadgen ride out a daemon kill/restart mid-run.
+// This is what lets loadgen ride out a daemon kill/restart mid-run, and it
+// is loadgen's only client: with no send hook, its sends are clean.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +63,26 @@ class ServerError : public ProtocolError {
 
 class BlockingClient {
  public:
+  // Sends one encoded frame on the client in place of send_raw; wire chaos
+  // uses it to mangle begin/end frames. It may throw TransportError to
+  // simulate a failed send.
+  using SendHook = std::function<void(BlockingClient&, const std::string&)>;
+
   // Connect to host:port; throws TransportError on failure.
   BlockingClient(const std::string& host, std::uint16_t port);
   ~BlockingClient();
 
-  BlockingClient(BlockingClient&& other) noexcept;
-  BlockingClient& operator=(BlockingClient&&) = delete;
   BlockingClient(const BlockingClient&) = delete;
   BlockingClient& operator=(const BlockingClient&) = delete;
 
   HelloOkMsg hello(const std::string& client_name);
   RegisterOkMsg register_app(const std::string& app,
                              const std::string& scenario, std::uint64_t seed);
-  core::ServiceDecision begin_op(const BeginOpMsg& msg);
+  core::ServiceDecision begin_op(const BeginOpMsg& msg,
+                                 const SendHook& send = {});
   // `seq` = 0 ends the pending op; a nonzero seq is the idempotency key.
-  core::ServiceOpResult end_op(std::uint64_t seq = 0);
+  core::ServiceOpResult end_op(std::uint64_t seq = 0,
+                               const SendHook& send = {});
   ResumeOkMsg resume(std::uint64_t session_id);
   StatusOkMsg status();
   // Ask the daemon to stop; waits for the acknowledgement.
@@ -92,7 +99,10 @@ class BlockingClient {
   int fd() const { return fd_; }
 
  private:
-  Frame call(const std::string& frame_bytes, MsgType expect);
+  // Send one request (through `send` when set) and read its reply; throws
+  // ServerError on kError, ProtocolError on any other unexpected type.
+  Frame call(const std::string& frame_bytes, MsgType expect,
+             const SendHook& send = {});
 
   int fd_ = -1;
   FrameReader reader_;
@@ -134,15 +144,13 @@ class ResilientClient {
                              const std::string& scenario, std::uint64_t seed);
   core::ServiceDecision begin_op(BeginOpMsg msg);
   core::ServiceOpResult end_op();
-  StatusOkMsg status();
 
-  std::uint64_t session_id() const { return sid_; }
   const ResilientStats& stats() const { return stats_; }
 
-  // Injected before each frame send by loadgen --chaos (null = none).
-  // The hook may throw TransportError to simulate a failed send.
-  using SendHook = std::function<void(BlockingClient&, const std::string&)>;
-  void set_send_hook(SendHook hook) { send_hook_ = std::move(hook); }
+  // Sends begin/end frames in place of a clean send (loadgen --chaos).
+  void set_send_hook(BlockingClient::SendHook hook) {
+    send_hook_ = std::move(hook);
+  }
 
   void close();
 
@@ -164,7 +172,7 @@ class ResilientClient {
   std::uint64_t seq_completed_ = 0;
   util::Rng jitter_;
   ResilientStats stats_;
-  SendHook send_hook_;
+  BlockingClient::SendHook send_hook_;
 };
 
 }  // namespace spectra::serve

@@ -11,16 +11,10 @@
 
 #include "fault/wire_chaos.h"
 #include "serve/client.h"
+#include "util/stats.h"
 
 namespace spectra::serve {
 namespace {
-
-double percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 void sleep_s(double s) {
   std::this_thread::sleep_for(std::chrono::duration<double>(s));
@@ -88,7 +82,6 @@ void chaos_send(BlockingClient& client, const std::string& bytes,
 LoadgenStats run_loadgen(const LoadgenConfig& config) {
   using Clock = std::chrono::steady_clock;
 
-  const bool resilient = config.resilient || config.chaos_intensity > 0.0;
   fault::WireFaultPlan plan(
       config.chaos_seed != 0 ? config.chaos_seed : config.seed);
   if (config.chaos_intensity > 0.0) plan.scale_rate(config.chaos_intensity);
@@ -108,22 +101,6 @@ LoadgenStats run_loadgen(const LoadgenConfig& config) {
     threads.emplace_back([&, i] {
       try {
         latencies[i].reserve(config.ops_per_client);
-        if (!resilient) {
-          BlockingClient client(config.host, config.port);
-          client.hello("loadgen-" + std::to_string(i));
-          client.register_app(config.app, config.scenario, config.seed);
-          for (std::size_t k = 0; k < config.ops_per_client; ++k) {
-            const auto start = Clock::now();
-            client.begin_op(BeginOpMsg{});
-            client.end_op();
-            const auto end = Clock::now();
-            latencies[i].push_back(
-                std::chrono::duration<double, std::milli>(end - start)
-                    .count());
-            ops.fetch_add(1, std::memory_order_relaxed);
-          }
-          return;
-        }
         ResilientConfig rc;
         rc.host = config.host;
         rc.port = config.port;
@@ -169,7 +146,6 @@ LoadgenStats run_loadgen(const LoadgenConfig& config) {
 
   std::vector<double> all;
   for (const auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end());
 
   LoadgenStats stats;
   stats.ops = ops.load();
@@ -177,8 +153,10 @@ LoadgenStats run_loadgen(const LoadgenConfig& config) {
   stats.first_error = first_error;
   stats.wall_s = wall;
   stats.rps = wall > 0 ? static_cast<double>(stats.ops) / wall : 0.0;
-  stats.p50_ms = percentile(all, 0.50);
-  stats.p99_ms = percentile(all, 0.99);
+  if (!all.empty()) {
+    stats.p50_ms = util::percentile_value(all, 50.0);
+    stats.p99_ms = util::percentile_value(all, 99.0);
+  }
   stats.faults_injected = faults.load();
   for (const ResilientStats& r : recovery) {
     stats.reconnects += r.reconnects;

@@ -7,14 +7,13 @@
 // session is a clone — the measurement exercises the socket loop and
 // decision path, not world training.
 //
-// With `chaos_intensity > 0` (loadgen --chaos) each client switches to a
-// ResilientClient and mangles its own outgoing frames through a seeded
+// Every client is a ResilientClient, so a run survives a daemon
+// kill/restart mid-run by reconnecting, resuming its session, and
+// re-issuing idempotently. With `chaos_intensity > 0` (loadgen --chaos)
+// each client also mangles its own begin/end frames through a seeded
 // fault::WireFaultPlan — delays, fragmented sends, slowloris stalls,
 // header corruption, RST aborts — and must still finish every operation
-// exactly once by reconnecting, resuming its session, and re-issuing
-// idempotently. `resilient` alone (no chaos) uses the self-healing client
-// with clean sends, which is what lets a soak survive a daemon
-// kill/restart mid-run.
+// exactly once; without it, its sends are clean.
 //
 // Latency here is wall-clock (it measures the daemon), so it belongs in
 // BENCH output and never in traces or goldens.
@@ -37,8 +36,6 @@ struct LoadgenConfig {
   // fault_rate (1.0 = the default 25% per-request rate).
   double chaos_intensity = 0.0;
   std::uint64_t chaos_seed = 0;  // 0 = derive from `seed`
-  // Use ResilientClient even without chaos (survives daemon restarts).
-  bool resilient = false;
 };
 
 struct LoadgenStats {
@@ -49,7 +46,7 @@ struct LoadgenStats {
   double rps = 0.0;     // ops per wall-clock second
   double p50_ms = 0.0;  // per-op (begin+end round trips) latency
   double p99_ms = 0.0;
-  // Recovery counters (resilient/chaos mode), summed over clients.
+  // Recovery counters, summed over clients.
   std::uint64_t faults_injected = 0;
   std::uint64_t reconnects = 0;
   std::uint64_t resumes = 0;

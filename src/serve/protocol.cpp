@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
 
 namespace spectra::serve {
@@ -74,25 +75,8 @@ bool retryable(ErrorCode code) {
 }
 
 bool is_known_type(std::uint8_t type) {
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kHello:
-    case MsgType::kRegisterApp:
-    case MsgType::kBeginOp:
-    case MsgType::kEndOp:
-    case MsgType::kStatus:
-    case MsgType::kShutdown:
-    case MsgType::kResume:
-    case MsgType::kHelloOk:
-    case MsgType::kRegisterOk:
-    case MsgType::kBeginOk:
-    case MsgType::kEndOk:
-    case MsgType::kStatusOk:
-    case MsgType::kShutdownOk:
-    case MsgType::kResumeOk:
-    case MsgType::kError:
-      return true;
-  }
-  return false;
+  // Every type has a token; any other byte reads "unknown".
+  return std::strcmp(to_token(static_cast<MsgType>(type)), "unknown") != 0;
 }
 
 namespace {
@@ -141,13 +125,9 @@ void FrameReader::check_header() {
   }
   const auto type = static_cast<std::uint8_t>(buffer_[4]);
   if (!is_known_type(type)) {
-    throw ProtocolError("unknown message type 0x" + [type] {
-      const char* hex = "0123456789abcdef";
-      std::string s;
-      s.push_back(hex[(type >> 4) & 0xF]);
-      s.push_back(hex[type & 0xF]);
-      return s;
-    }());
+    char hex[3];
+    std::snprintf(hex, sizeof(hex), "%02x", type);
+    throw ProtocolError(std::string("unknown message type 0x") + hex);
   }
 }
 
@@ -273,118 +253,160 @@ void PayloadReader::expect_done() const {
 
 // ---- messages ------------------------------------------------------------
 
-std::string encode_hello(const HelloMsg& m) {
-  PayloadWriter w;
-  w.put_u32(m.version);
-  w.put_string(m.client_name);
-  return encode_frame(MsgType::kHello, w.str());
+namespace {
+
+// One field of a message, in either direction: a writer reads it, a reader
+// assigns it. Booleans travel as u8, error codes as their u8 value.
+void io(PayloadWriter& w, bool v) { w.put_u8(v ? 1 : 0); }
+void io(PayloadWriter& w, std::uint32_t v) { w.put_u32(v); }
+void io(PayloadWriter& w, std::uint64_t v) { w.put_u64(v); }
+void io(PayloadWriter& w, double v) { w.put_f64(v); }
+void io(PayloadWriter& w, const std::string& v) { w.put_string(v); }
+void io(PayloadWriter& w, const std::map<std::string, double>& v) {
+  w.put_map(v);
+}
+void io(PayloadWriter& w, ErrorCode v) {
+  w.put_u8(static_cast<std::uint8_t>(v));
+}
+void io(PayloadReader& r, bool& v) { v = r.get_u8() != 0; }
+void io(PayloadReader& r, std::uint32_t& v) { v = r.get_u32(); }
+void io(PayloadReader& r, std::uint64_t& v) { v = r.get_u64(); }
+void io(PayloadReader& r, double& v) { v = r.get_f64(); }
+void io(PayloadReader& r, std::string& v) { v = r.get_string(); }
+void io(PayloadReader& r, std::map<std::string, double>& v) {
+  v = r.get_map();
+}
+void io(PayloadReader& r, ErrorCode& v) {
+  v = static_cast<ErrorCode>(r.get_u8());
 }
 
-HelloMsg decode_hello(std::string_view payload) {
+template <typename Stream, typename... Field>
+void each(Stream& s, Field&... fields) {
+  (io(s, fields), ...);
+}
+
+// Each message's frame type and its fields in wire order: the one list
+// both its encoder and its decoder walk.
+template <typename Msg>
+struct Wire;
+template <>
+struct Wire<HelloMsg> {
+  static constexpr MsgType kType = MsgType::kHello;
+  static void fields(auto& s, auto& m) { each(s, m.version, m.client_name); }
+};
+template <>
+struct Wire<HelloOkMsg> {
+  static constexpr MsgType kType = MsgType::kHelloOk;
+  static void fields(auto& s, auto& m) { each(s, m.version, m.session_id); }
+};
+template <>
+struct Wire<RegisterAppMsg> {
+  static constexpr MsgType kType = MsgType::kRegisterApp;
+  static void fields(auto& s, auto& m) {
+    each(s, m.app, m.scenario, m.seed);
+  }
+};
+template <>
+struct Wire<RegisterOkMsg> {
+  static constexpr MsgType kType = MsgType::kRegisterOk;
+  static void fields(auto& s, auto& m) { each(s, m.op); }
+};
+template <>
+struct Wire<BeginOpMsg> {
+  static constexpr MsgType kType = MsgType::kBeginOp;
+  static void fields(auto& s, auto& m) {
+    each(s, m.op, m.data_tag, m.params, m.seq);
+  }
+};
+template <>
+struct Wire<core::ServiceDecision> {
+  static constexpr MsgType kType = MsgType::kBeginOk;
+  static void fields(auto& s, auto& m) {
+    each(s, m.ok, m.from_model, m.plan, m.placement, m.fidelity,
+         m.predicted_time_s, m.predicted_energy_j, m.log_utility, m.t);
+  }
+};
+template <>
+struct Wire<core::ServiceOpResult> {
+  static constexpr MsgType kType = MsgType::kEndOk;
+  static void fields(auto& s, auto& m) {
+    each(s, m.ok, m.seq, m.time_s, m.energy_j, m.t);
+  }
+};
+template <>
+struct Wire<StatusOkMsg> {
+  static constexpr MsgType kType = MsgType::kStatusOk;
+  static void fields(auto& s, auto& m) {
+    each(s, m.session.app, m.session.scenario, m.session.seed, m.session.op,
+         m.session.ops_begun, m.session.ops_completed,
+         m.session.op_in_progress, m.session.virtual_now, m.sessions_active,
+         m.ops_served);
+  }
+};
+template <>
+struct Wire<ResumeMsg> {
+  static constexpr MsgType kType = MsgType::kResume;
+  static void fields(auto& s, auto& m) { each(s, m.session_id); }
+};
+template <>
+struct Wire<ResumeOkMsg> {
+  static constexpr MsgType kType = MsgType::kResumeOk;
+  static void fields(auto& s, auto& m) {
+    each(s, m.op, m.seq_begun, m.seq_completed);
+  }
+};
+template <>
+struct Wire<ErrorMsg> {
+  static constexpr MsgType kType = MsgType::kError;
+  static void fields(auto& s, auto& m) { each(s, m.code, m.message); }
+};
+
+template <typename Msg>
+std::string encode(const Msg& m) {
+  PayloadWriter w;
+  Wire<Msg>::fields(w, m);
+  return encode_frame(Wire<Msg>::kType, w.str());
+}
+
+template <typename Msg>
+Msg decode(std::string_view payload) {
   PayloadReader r(payload);
-  HelloMsg m;
-  m.version = r.get_u32();
-  m.client_name = r.get_string();
+  Msg m;
+  Wire<Msg>::fields(r, m);
   r.expect_done();
   return m;
 }
 
-std::string encode_hello_ok(const HelloOkMsg& m) {
-  PayloadWriter w;
-  w.put_u32(m.version);
-  w.put_u64(m.session_id);
-  return encode_frame(MsgType::kHelloOk, w.str());
+}  // namespace
+
+std::string encode_hello(const HelloMsg& m) { return encode(m); }
+HelloMsg decode_hello(std::string_view p) { return decode<HelloMsg>(p); }
+
+std::string encode_hello_ok(const HelloOkMsg& m) { return encode(m); }
+HelloOkMsg decode_hello_ok(std::string_view p) {
+  return decode<HelloOkMsg>(p);
 }
 
-HelloOkMsg decode_hello_ok(std::string_view payload) {
-  PayloadReader r(payload);
-  HelloOkMsg m;
-  m.version = r.get_u32();
-  m.session_id = r.get_u64();
-  r.expect_done();
-  return m;
+std::string encode_register_app(const RegisterAppMsg& m) { return encode(m); }
+RegisterAppMsg decode_register_app(std::string_view p) {
+  return decode<RegisterAppMsg>(p);
 }
 
-std::string encode_register_app(const RegisterAppMsg& m) {
-  PayloadWriter w;
-  w.put_string(m.app);
-  w.put_string(m.scenario);
-  w.put_u64(m.seed);
-  return encode_frame(MsgType::kRegisterApp, w.str());
+std::string encode_register_ok(const RegisterOkMsg& m) { return encode(m); }
+RegisterOkMsg decode_register_ok(std::string_view p) {
+  return decode<RegisterOkMsg>(p);
 }
 
-RegisterAppMsg decode_register_app(std::string_view payload) {
-  PayloadReader r(payload);
-  RegisterAppMsg m;
-  m.app = r.get_string();
-  m.scenario = r.get_string();
-  m.seed = r.get_u64();
-  r.expect_done();
-  return m;
-}
-
-std::string encode_register_ok(const RegisterOkMsg& m) {
-  PayloadWriter w;
-  w.put_string(m.op);
-  return encode_frame(MsgType::kRegisterOk, w.str());
-}
-
-RegisterOkMsg decode_register_ok(std::string_view payload) {
-  PayloadReader r(payload);
-  RegisterOkMsg m;
-  m.op = r.get_string();
-  r.expect_done();
-  return m;
-}
-
-std::string encode_begin_op(const BeginOpMsg& m) {
-  PayloadWriter w;
-  w.put_string(m.op);
-  w.put_string(m.data_tag);
-  w.put_map(m.params);
-  w.put_u64(m.seq);
-  return encode_frame(MsgType::kBeginOp, w.str());
-}
-
-BeginOpMsg decode_begin_op(std::string_view payload) {
-  PayloadReader r(payload);
-  BeginOpMsg m;
-  m.op = r.get_string();
-  m.data_tag = r.get_string();
-  m.params = r.get_map();
-  m.seq = r.get_u64();
-  r.expect_done();
-  return m;
+std::string encode_begin_op(const BeginOpMsg& m) { return encode(m); }
+BeginOpMsg decode_begin_op(std::string_view p) {
+  return decode<BeginOpMsg>(p);
 }
 
 std::string encode_begin_ok(const core::ServiceDecision& m) {
-  PayloadWriter w;
-  w.put_u8(m.ok ? 1 : 0);
-  w.put_u8(m.from_model ? 1 : 0);
-  w.put_string(m.plan);
-  w.put_string(m.placement);
-  w.put_map(m.fidelity);
-  w.put_f64(m.predicted_time_s);
-  w.put_f64(m.predicted_energy_j);
-  w.put_f64(m.log_utility);
-  w.put_f64(m.t);
-  return encode_frame(MsgType::kBeginOk, w.str());
+  return encode(m);
 }
-
-core::ServiceDecision decode_begin_ok(std::string_view payload) {
-  PayloadReader r(payload);
-  core::ServiceDecision m;
-  m.ok = r.get_u8() != 0;
-  m.from_model = r.get_u8() != 0;
-  m.plan = r.get_string();
-  m.placement = r.get_string();
-  m.fidelity = r.get_map();
-  m.predicted_time_s = r.get_f64();
-  m.predicted_energy_j = r.get_f64();
-  m.log_utility = r.get_f64();
-  m.t = r.get_f64();
-  r.expect_done();
-  return m;
+core::ServiceDecision decode_begin_ok(std::string_view p) {
+  return decode<core::ServiceDecision>(p);
 }
 
 std::string encode_end_op(std::uint64_t seq) {
@@ -403,60 +425,16 @@ std::uint64_t decode_end_op(std::string_view payload) {
   return seq;
 }
 
-std::string encode_end_ok(const core::ServiceOpResult& m) {
-  PayloadWriter w;
-  w.put_u8(m.ok ? 1 : 0);
-  w.put_u64(m.seq);
-  w.put_f64(m.time_s);
-  w.put_f64(m.energy_j);
-  w.put_f64(m.t);
-  return encode_frame(MsgType::kEndOk, w.str());
-}
-
-core::ServiceOpResult decode_end_ok(std::string_view payload) {
-  PayloadReader r(payload);
-  core::ServiceOpResult m;
-  m.ok = r.get_u8() != 0;
-  m.seq = r.get_u64();
-  m.time_s = r.get_f64();
-  m.energy_j = r.get_f64();
-  m.t = r.get_f64();
-  r.expect_done();
-  return m;
+std::string encode_end_ok(const core::ServiceOpResult& m) { return encode(m); }
+core::ServiceOpResult decode_end_ok(std::string_view p) {
+  return decode<core::ServiceOpResult>(p);
 }
 
 std::string encode_status() { return encode_frame(MsgType::kStatus, ""); }
 
-std::string encode_status_ok(const StatusOkMsg& m) {
-  PayloadWriter w;
-  w.put_string(m.session.app);
-  w.put_string(m.session.scenario);
-  w.put_u64(m.session.seed);
-  w.put_string(m.session.op);
-  w.put_u64(m.session.ops_begun);
-  w.put_u64(m.session.ops_completed);
-  w.put_u8(m.session.op_in_progress ? 1 : 0);
-  w.put_f64(m.session.virtual_now);
-  w.put_u64(m.sessions_active);
-  w.put_u64(m.ops_served);
-  return encode_frame(MsgType::kStatusOk, w.str());
-}
-
-StatusOkMsg decode_status_ok(std::string_view payload) {
-  PayloadReader r(payload);
-  StatusOkMsg m;
-  m.session.app = r.get_string();
-  m.session.scenario = r.get_string();
-  m.session.seed = r.get_u64();
-  m.session.op = r.get_string();
-  m.session.ops_begun = r.get_u64();
-  m.session.ops_completed = r.get_u64();
-  m.session.op_in_progress = r.get_u8() != 0;
-  m.session.virtual_now = r.get_f64();
-  m.sessions_active = r.get_u64();
-  m.ops_served = r.get_u64();
-  r.expect_done();
-  return m;
+std::string encode_status_ok(const StatusOkMsg& m) { return encode(m); }
+StatusOkMsg decode_status_ok(std::string_view p) {
+  return decode<StatusOkMsg>(p);
 }
 
 std::string encode_shutdown() { return encode_frame(MsgType::kShutdown, ""); }
@@ -465,53 +443,16 @@ std::string encode_shutdown_ok() {
   return encode_frame(MsgType::kShutdownOk, "");
 }
 
-std::string encode_resume(const ResumeMsg& m) {
-  PayloadWriter w;
-  w.put_u64(m.session_id);
-  return encode_frame(MsgType::kResume, w.str());
+std::string encode_resume(const ResumeMsg& m) { return encode(m); }
+ResumeMsg decode_resume(std::string_view p) { return decode<ResumeMsg>(p); }
+
+std::string encode_resume_ok(const ResumeOkMsg& m) { return encode(m); }
+ResumeOkMsg decode_resume_ok(std::string_view p) {
+  return decode<ResumeOkMsg>(p);
 }
 
-ResumeMsg decode_resume(std::string_view payload) {
-  PayloadReader r(payload);
-  ResumeMsg m;
-  m.session_id = r.get_u64();
-  r.expect_done();
-  return m;
-}
-
-std::string encode_resume_ok(const ResumeOkMsg& m) {
-  PayloadWriter w;
-  w.put_string(m.op);
-  w.put_u64(m.seq_begun);
-  w.put_u64(m.seq_completed);
-  return encode_frame(MsgType::kResumeOk, w.str());
-}
-
-ResumeOkMsg decode_resume_ok(std::string_view payload) {
-  PayloadReader r(payload);
-  ResumeOkMsg m;
-  m.op = r.get_string();
-  m.seq_begun = r.get_u64();
-  m.seq_completed = r.get_u64();
-  r.expect_done();
-  return m;
-}
-
-std::string encode_error(const ErrorMsg& m) {
-  PayloadWriter w;
-  w.put_u8(static_cast<std::uint8_t>(m.code));
-  w.put_string(m.message);
-  return encode_frame(MsgType::kError, w.str());
-}
-
-ErrorMsg decode_error(std::string_view payload) {
-  PayloadReader r(payload);
-  ErrorMsg m;
-  m.code = static_cast<ErrorCode>(r.get_u8());
-  m.message = r.get_string();
-  r.expect_done();
-  return m;
-}
+std::string encode_error(const ErrorMsg& m) { return encode(m); }
+ErrorMsg decode_error(std::string_view p) { return decode<ErrorMsg>(p); }
 
 void decode_empty(std::string_view payload, MsgType type) {
   if (!payload.empty()) {

@@ -4,7 +4,9 @@
 #include <cctype>
 #include <charconv>
 #include <cstddef>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <utility>
 
 #include "obs/trace.h"
@@ -192,6 +194,8 @@ class LineScanner {
   std::map<std::string, std::map<std::string, double>> objects_;
 };
 
+}  // namespace
+
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::size_t start = 0;
@@ -204,8 +208,6 @@ std::vector<std::string> split_lines(const std::string& text) {
   return lines;
 }
 
-}  // namespace
-
 // ---- lifecycle events ----------------------------------------------------
 
 bool is_lifecycle_event(const std::string& type) {
@@ -215,6 +217,14 @@ bool is_lifecycle_event(const std::string& type) {
 }
 
 // ---- write-ahead-log hygiene ---------------------------------------------
+
+std::string read_record(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  SPECTRA_REQUIRE(in.good(), "cannot read record: " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 std::size_t strip_partial_tail(std::string& text) {
   if (text.empty() || text.back() == '\n') return 0;
@@ -270,34 +280,50 @@ std::string render_end_line(std::uint64_t sid, std::uint64_t seq,
 
 // ---- canonical form ------------------------------------------------------
 
+namespace {
+
+enum class Event { kSession, kBegin, kEnd };
+
+// Calls fn(line, scanner, event, lineno) for each core line in order.
+// Lifecycle lines are skipped; any other type is an error.
+template <typename Fn>
+void for_each_event(const std::vector<std::string>& lines, Fn&& fn) {
+  for (std::size_t lineno = 1; lineno <= lines.size(); ++lineno) {
+    const std::string& line = lines[lineno - 1];
+    const LineScanner s(line, lineno);
+    const std::string& type = s.str("type");
+    if (is_lifecycle_event(type)) continue;
+    SPECTRA_REQUIRE(type == "serve.session" || type == "serve.begin" ||
+                        type == "serve.end",
+                    "record line " + std::to_string(lineno) +
+                        ": unknown event type " + type);
+    fn(line, s,
+       type == "serve.session" ? Event::kSession
+       : type == "serve.begin" ? Event::kBegin
+                               : Event::kEnd,
+       lineno);
+  }
+}
+
+}  // namespace
+
 std::string canonicalize_record(const std::string& text) {
   struct Keyed {
     std::uint64_t sid;
-    std::uint64_t order;
+    std::uint64_t order;  // the session line, then begin/end by seq
     const std::string* line;
   };
   const std::vector<std::string> lines = split_lines(text);
   std::vector<Keyed> keyed;
   keyed.reserve(lines.size());
-  std::size_t lineno = 0;
-  for (const std::string& line : lines) {
-    ++lineno;
-    LineScanner s(line, lineno);
-    const std::string& type = s.str("type");
-    if (is_lifecycle_event(type)) continue;
+  for_each_event(lines, [&](const std::string& line, const LineScanner& s,
+                            Event event, std::size_t) {
     Keyed k{s.uint("sid"), 0, &line};
-    if (type == "serve.session") {
-      k.order = 0;
-    } else if (type == "serve.begin") {
-      k.order = 2 * s.uint("seq") - 1;
-    } else if (type == "serve.end") {
-      k.order = 2 * s.uint("seq");
-    } else {
-      SPECTRA_REQUIRE(false, "record line " + std::to_string(lineno) +
-                                 ": unknown event type " + type);
+    if (event != Event::kSession) {
+      k.order = 2 * s.uint("seq") - (event == Event::kBegin ? 1 : 0);
     }
     keyed.push_back(k);
-  }
+  });
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const Keyed& a, const Keyed& b) {
                      if (a.sid != b.sid) return a.sid < b.sid;
@@ -316,16 +342,12 @@ std::string canonicalize_record(const std::string& text) {
 
 std::vector<ReplaySession> parse_record(const std::string& text) {
   std::map<std::uint64_t, ReplaySession> sessions;
-  const std::vector<std::string> lines = split_lines(text);
-  std::size_t lineno = 0;
-  for (const std::string& line : lines) {
-    ++lineno;
-    LineScanner s(line, lineno);
-    const std::string& type = s.str("type");
-    if (is_lifecycle_event(type)) continue;
+  for_each_event(split_lines(text), [&](const std::string&,
+                                        const LineScanner& s, Event event,
+                                        std::size_t lineno) {
     const std::uint64_t sid = s.uint("sid");
     const std::string where = "record line " + std::to_string(lineno) + ": ";
-    if (type == "serve.session") {
+    if (event == Event::kSession) {
       SPECTRA_REQUIRE(!sessions.count(sid),
                       where + "duplicate session " + std::to_string(sid));
       ReplaySession& sess = sessions[sid];
@@ -334,12 +356,15 @@ std::vector<ReplaySession> parse_record(const std::string& text) {
       sess.scenario = s.str("scenario");
       sess.seed = s.uint("seed");
       sess.op = s.str("op");
-    } else if (type == "serve.begin") {
-      auto it = sessions.find(sid);
-      SPECTRA_REQUIRE(it != sessions.end(),
-                      where + "begin before session " + std::to_string(sid));
-      ReplaySession& sess = it->second;
-      const std::uint64_t seq = s.uint("seq");
+      return;
+    }
+    auto it = sessions.find(sid);
+    SPECTRA_REQUIRE(it != sessions.end(),
+                    where + (event == Event::kBegin ? "begin" : "end") +
+                        " before session " + std::to_string(sid));
+    ReplaySession& sess = it->second;
+    const std::uint64_t seq = s.uint("seq");
+    if (event == Event::kBegin) {
       SPECTRA_REQUIRE(seq == sess.ops.size() + 1,
                       where + "out-of-order seq " + std::to_string(seq));
       ReplayOp op;
@@ -348,21 +373,14 @@ std::vector<ReplaySession> parse_record(const std::string& text) {
       op.request.data_tag = s.str("data");
       op.request.params = s.object("params");
       sess.ops.push_back(std::move(op));
-    } else if (type == "serve.end") {
-      auto it = sessions.find(sid);
-      SPECTRA_REQUIRE(it != sessions.end(),
-                      where + "end before session " + std::to_string(sid));
-      ReplaySession& sess = it->second;
-      const std::uint64_t seq = s.uint("seq");
+    } else {
       SPECTRA_REQUIRE(seq == sess.ops.size() && !sess.ops.empty() &&
                           !sess.ops.back().has_end,
                       where + "end without matching begin, seq " +
                           std::to_string(seq));
       sess.ops.back().has_end = true;
-    } else {
-      SPECTRA_REQUIRE(false, where + "unknown event type " + type);
     }
-  }
+  });
   std::vector<ReplaySession> out;
   out.reserve(sessions.size());
   for (auto& [sid, sess] : sessions) out.push_back(std::move(sess));

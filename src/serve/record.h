@@ -56,6 +56,9 @@ bool is_lifecycle_event(const std::string& type);
 
 // ---- write-ahead-log hygiene ---------------------------------------------
 
+// The whole record file; throws util::ContractError when it cannot be read.
+std::string read_record(const std::string& path);
+
 // A SIGKILL can leave a partial final line in the log. Drops any trailing
 // bytes after the last newline (in place) and returns how many were
 // removed, so `--resume` can parse the intact prefix and truncate the
@@ -63,6 +66,9 @@ bool is_lifecycle_event(const std::string& type);
 std::size_t strip_partial_tail(std::string& text);
 
 // ---- canonical form ------------------------------------------------------
+
+// The non-empty lines of `text`, without their newlines.
+std::vector<std::string> split_lines(const std::string& text);
 
 // Stable-sorts the record's lines by (sid, operation order) so two records
 // of the same logical session set compare byte-for-byte regardless of how

@@ -1,43 +1,14 @@
 #include "serve/replay.h"
 
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <vector>
 
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/record.h"
-#include "util/assert.h"
 
 namespace spectra::serve {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SPECTRA_REQUIRE(in.good(), "cannot read record: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::string replay_in_process(const std::vector<ReplaySession>& sessions,
-                              const core::ServiceFactory& factory) {
-  std::string out;
-  for (const ReplaySession& sess : sessions) {
-    auto svc = factory(sess.app, sess.scenario, sess.seed);
-    const core::ServiceStatus st = svc->status();
-    out += render_session_line(sess.sid, st.virtual_now, st) + "\n";
-    for (const ReplayOp& op : sess.ops) {
-      const core::ServiceDecision d = svc->begin_op(op.request);
-      out += render_begin_line(sess.sid, op.seq, op.request, d) + "\n";
-      if (op.has_end) {
-        const core::ServiceOpResult r = svc->end_op();
-        out += render_end_line(sess.sid, r.seq, r) + "\n";
-      }
-    }
-  }
-  return out;
-}
 
 std::string replay_over_wire(const std::vector<ReplaySession>& sessions,
                              const std::string& host, std::uint16_t port) {
@@ -65,43 +36,22 @@ std::string replay_over_wire(const std::vector<ReplaySession>& sessions,
   return out;
 }
 
-std::vector<std::string> lines_of(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) lines.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-}  // namespace
-
-ReplayResult run_replay(const ReplayConfig& config,
-                        const core::ServiceFactory& factory) {
-  const std::string expected_raw = read_file(config.record_path);
-  const std::vector<ReplaySession> sessions = parse_record(expected_raw);
-
+// Counts the record's sessions and ops, and marks the first canonical line
+// where the replayed record differs from it.
+ReplayResult check(const std::string& record,
+                   const std::vector<ReplaySession>& sessions,
+                   const std::string& replayed) {
   ReplayResult result;
   result.sessions = sessions.size();
   for (const ReplaySession& sess : sessions) result.ops += sess.ops.size();
-
-  const std::string actual_raw =
-      config.port < 0
-          ? replay_in_process(sessions, factory)
-          : replay_over_wire(sessions, config.host,
-                             static_cast<std::uint16_t>(config.port));
-
-  const std::string expected = canonicalize_record(expected_raw);
-  const std::string actual = canonicalize_record(actual_raw);
+  const std::string expected = canonicalize_record(record);
+  const std::string actual = canonicalize_record(replayed);
   if (expected == actual) {
     result.identical = true;
     return result;
   }
-  const std::vector<std::string> exp_lines = lines_of(expected);
-  const std::vector<std::string> act_lines = lines_of(actual);
+  const std::vector<std::string> exp_lines = split_lines(expected);
+  const std::vector<std::string> act_lines = split_lines(actual);
   const std::size_t n = std::max(exp_lines.size(), act_lines.size());
   for (std::size_t i = 0; i < n; ++i) {
     const std::string& e = i < exp_lines.size() ? exp_lines[i] : std::string();
@@ -114,6 +64,48 @@ ReplayResult run_replay(const ReplayConfig& config,
     }
   }
   return result;
+}
+
+}  // namespace
+
+ReplayResult replay_in_process(
+    const std::string& record, const core::ServiceFactory& factory,
+    const std::function<void(SessionState&&)>& keep) {
+  const std::vector<ReplaySession> sessions = parse_record(record);
+  std::string out;
+  for (const ReplaySession& sess : sessions) {
+    SessionState state;
+    state.sid = sess.sid;
+    state.service = factory(sess.app, sess.scenario, sess.seed);
+    const core::ServiceStatus st = state.service->status();
+    out += render_session_line(sess.sid, st.virtual_now, st) + "\n";
+    for (const ReplayOp& op : sess.ops) {
+      state.last_decision = state.service->begin_op(op.request);
+      state.seq_begun = op.seq;
+      out += render_begin_line(sess.sid, op.seq, op.request,
+                               state.last_decision) +
+             "\n";
+      if (op.has_end) {
+        state.last_result = state.service->end_op();
+        state.seq_completed = state.last_result.seq;
+        out += render_end_line(sess.sid, state.seq_completed,
+                               state.last_result) +
+               "\n";
+      }
+    }
+    if (keep) keep(std::move(state));
+  }
+  return check(record, sessions, out);
+}
+
+ReplayResult run_replay(const ReplayConfig& config,
+                        const core::ServiceFactory& factory) {
+  const std::string record = read_record(config.record_path);
+  if (config.port < 0) return replay_in_process(record, factory);
+  const std::vector<ReplaySession> sessions = parse_record(record);
+  return check(record, sessions,
+               replay_over_wire(sessions, config.host,
+                                static_cast<std::uint16_t>(config.port)));
 }
 
 }  // namespace spectra::serve

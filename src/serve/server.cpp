@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -15,16 +16,15 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <list>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "obs/trace.h"
 #include "serve/outbuf.h"
 #include "serve/protocol.h"
 #include "serve/record.h"
+#include "serve/replay.h"
 #include "util/assert.h"
 #include "util/shutdown.h"
 
@@ -40,20 +40,6 @@ void set_nonblocking(int fd) {
                       std::string(std::strerror(errno)));
 }
 
-// One registered session, decoupled from any particular connection so it
-// can be parked across disconnects and resumed. The cached wire replies
-// make begin/end idempotent on their seq key: a re-issued request whose
-// reply was lost is answered from the cache without re-executing (and
-// without re-recording), so a retrying client can never double-run an op.
-struct SessionState {
-  std::uint64_t sid = 0;
-  std::unique_ptr<core::DecisionService> session;
-  std::uint64_t seq_begun = 0;
-  std::uint64_t seq_completed = 0;
-  std::string begin_reply;  // encoded kBeginOk for seq_begun
-  std::string end_reply;    // encoded kEndOk for seq_completed
-};
-
 // One client connection's state machine.
 struct Connection {
   int fd = -1;
@@ -62,6 +48,11 @@ struct Connection {
   bool closing = false;  // close once outbuf drains
   FrameReader reader;
   OutBuffer out;
+  // The registered session (serve/replay.h), decoupled from the connection
+  // so it can be parked across disconnects and resumed. Its last replies
+  // make begin/end idempotent on their seq key: a re-issued request whose
+  // reply was lost is answered from them without re-executing (and without
+  // re-recording), so a retrying client can never double-run an op.
   std::unique_ptr<SessionState> state;
   Clock::time_point last_activity;      // last byte moved either direction
   Clock::time_point partial_since;      // when the pending half-frame began
@@ -71,9 +62,21 @@ struct Connection {
   bool drained() const { return out.drained(); }
 };
 
+// Refuses a begin or end whose seq is neither the cached one nor the next.
+[[noreturn]] void bad_seq(const char* request, std::uint64_t seq,
+                          std::uint64_t cached) {
+  throw ServeError(ErrorCode::kBadSeq,
+                   std::string(request) + " seq " + std::to_string(seq) +
+                       " is neither cached (" + std::to_string(cached) +
+                       ") nor next (" + std::to_string(cached + 1) + ")");
+}
+
 // Accepts past max_connections get an in-band kOverloaded refusal; only a
 // flood this far past the limit is dropped without the courtesy reply.
 constexpr std::size_t kShedHeadroom = 64;
+
+// Disconnected sessions kept resumable; the oldest is evicted past this.
+constexpr std::size_t kMaxParked = 256;
 
 }  // namespace
 
@@ -86,7 +89,7 @@ struct Server::Impl {
   std::list<Connection> connections;
   // Sessions whose connection died, keyed by sid, resumable via kResume.
   std::map<std::uint64_t, SessionState> parked;
-  std::deque<std::uint64_t> park_order;  // FIFO eviction past max_parked
+  std::deque<std::uint64_t> park_order;  // FIFO eviction past kMaxParked
   std::unique_ptr<obs::TraceSink> record;
   Stats stats;
   std::atomic<bool> stopping{false};  // request_stop() writes cross-thread
@@ -101,19 +104,25 @@ struct Server::Impl {
     if (wake_write >= 0) ::close(wake_write);
   }
 
-  // Write one line to the record and flush it: the record doubles as a
-  // write-ahead log, so a line must be durable in the kernel before the
-  // reply that acknowledges it can reach the client.
-  void record_line(const std::string& line) {
+  // Append one line to the record and flush it to the kernel: the record
+  // doubles as a write-ahead log, so a line must be written before the
+  // reply that acknowledges it can reach the client. That survives kill -9
+  // of the daemon, not a crash of the OS (there is no fsync).
+  void append(const std::string& line) {
     if (!record) return;
     record->write_raw(line + "\n");
     record->flush();
   }
+  void append(const obs::TraceEvent& event) {
+    if (record) append(event.to_json());
+  }
 
-  void record_lifecycle(const obs::TraceEvent& event) {
-    if (!record) return;
-    record->write_raw(event.to_json() + "\n");
-    record->flush();
+  // Add `n` to a Stats counter and append the lifecycle line that mirrors
+  // it, so the two always reconcile.
+  void lifecycle(std::uint64_t& counter, const obs::TraceEvent& event,
+                 std::uint64_t n = 1) {
+    counter += n;
+    append(event);
   }
 
   std::size_t live_sessions() const {
@@ -126,28 +135,24 @@ struct Server::Impl {
 
   // Move a dying connection's session into the parked map so a later
   // kResume can re-attach it. Bounded: the oldest parked session is
-  // evicted past max_parked (its history stays in the WAL, so a daemon
+  // evicted past kMaxParked (its history stays in the WAL, so a daemon
   // restarted with --resume can still reconstruct it).
   void park_session(Connection& c) {
     if (!c.state) return;
-    if (config.max_parked == 0) {
-      c.state.reset();
-      return;
-    }
     const std::uint64_t sid = c.state->sid;
     parked.insert_or_assign(sid, std::move(*c.state));
     c.state.reset();
     park_order.push_back(sid);
     ++stats.parked;
-    while (parked.size() > config.max_parked && !park_order.empty()) {
+    while (parked.size() > kMaxParked && !park_order.empty()) {
       const std::uint64_t victim = park_order.front();
       park_order.pop_front();
       auto it = parked.find(victim);
       if (it == parked.end()) continue;  // already resumed
       parked.erase(it);
-      record_lifecycle(obs::TraceEvent("serve.close", 0.0)
-                           .field("sid", static_cast<std::size_t>(victim))
-                           .field("reason", "park_evicted"));
+      append(obs::TraceEvent("serve.close", 0.0)
+                 .field("sid", static_cast<std::size_t>(victim))
+                 .field("reason", "park_evicted"));
     }
   }
 
@@ -158,12 +163,13 @@ struct Server::Impl {
     const std::size_t frames = c.out.pending_frames();
     if (frames == 0) return;
     const std::size_t bytes = c.out.pending_bytes();
-    stats.dropped_frames += frames;
     stats.dropped_bytes += bytes;
-    record_lifecycle(obs::TraceEvent("serve.drop", 0.0)
-                         .field("sid", static_cast<std::size_t>(c.sid))
-                         .field("frames", frames)
-                         .field("bytes", bytes));
+    lifecycle(stats.dropped_frames,
+              obs::TraceEvent("serve.drop", 0.0)
+                  .field("sid", static_cast<std::size_t>(c.sid))
+                  .field("frames", frames)
+                  .field("bytes", bytes),
+              frames);
   }
 
   // Close and erase one connection, parking its session.
@@ -176,12 +182,10 @@ struct Server::Impl {
     return connections.erase(it);
   }
 
-  void shed(Connection& c, const char* scope, const std::string& detail) {
-    ++stats.sheds;
-    record_lifecycle(obs::TraceEvent("serve.shed", 0.0)
-                         .field("sid", static_cast<std::size_t>(c.sid))
-                         .field("scope", scope));
-    throw ServeError(ErrorCode::kOverloaded, detail);
+  void count_shed(std::uint64_t sid, const char* scope) {
+    lifecycle(stats.sheds, obs::TraceEvent("serve.shed", 0.0)
+                               .field("sid", static_cast<std::size_t>(sid))
+                               .field("scope", scope));
   }
 
   // Dispatch one complete frame; replies are queued on the connection.
@@ -208,15 +212,17 @@ struct Server::Impl {
         SPECTRA_REQUIRE(c.greeted, "register_app before hello");
         SPECTRA_REQUIRE(!c.state, "session already registered");
         if (live_sessions() >= config.max_sessions) {
-          shed(c, "sessions",
-               "session limit reached (" +
-                   std::to_string(config.max_sessions) + "); retry later");
+          count_shed(c.sid, "sessions");
+          throw ServeError(ErrorCode::kOverloaded,
+                           "session limit reached (" +
+                               std::to_string(config.max_sessions) +
+                               "); retry later");
         }
         auto st = std::make_unique<SessionState>();
         st->sid = c.sid;
-        st->session = factory(m.app, m.scenario, m.seed);
-        const core::ServiceStatus status = st->session->status();
-        record_line(render_session_line(c.sid, status.virtual_now, status));
+        st->service = factory(m.app, m.scenario, m.seed);
+        const core::ServiceStatus status = st->service->status();
+        append(render_session_line(c.sid, status.virtual_now, status));
         c.state = std::move(st);
         RegisterOkMsg ok;
         ok.op = status.op;
@@ -250,17 +256,15 @@ struct Server::Impl {
                                " to resume");
         }
         c.sid = c.state->sid;
-        ++stats.resumed;
-        record_lifecycle(obs::TraceEvent("serve.resume", 0.0)
-                             .field("sid", static_cast<std::size_t>(c.sid))
-                             .field("seq_begun",
-                                    static_cast<std::size_t>(
-                                        c.state->seq_begun))
-                             .field("seq_completed",
-                                    static_cast<std::size_t>(
-                                        c.state->seq_completed)));
+        lifecycle(stats.resumed,
+                  obs::TraceEvent("serve.resume", 0.0)
+                      .field("sid", static_cast<std::size_t>(c.sid))
+                      .field("seq_begun",
+                             static_cast<std::size_t>(c.state->seq_begun))
+                      .field("seq_completed", static_cast<std::size_t>(
+                                                  c.state->seq_completed)));
         ResumeOkMsg ok;
-        ok.op = c.state->session->status().op;
+        ok.op = c.state->service->status().op;
         ok.seq_begun = c.state->seq_begun;
         ok.seq_completed = c.state->seq_completed;
         c.enqueue(encode_resume_ok(ok));
@@ -280,29 +284,22 @@ struct Server::Impl {
           // Idempotent re-issue of the op we already began: answer from
           // the cache, do not re-execute or re-record.
           ++stats.replayed_cached;
-          c.enqueue(st.begin_reply);
+          c.enqueue(encode_begin_ok(st.last_decision));
           return;
         }
-        if (seq != st.seq_begun + 1) {
-          throw ServeError(ErrorCode::kBadSeq,
-                           "begin seq " + std::to_string(seq) +
-                               " is neither cached (" +
-                               std::to_string(st.seq_begun) + ") nor next (" +
-                               std::to_string(st.seq_begun + 1) + ")");
-        }
+        if (seq != st.seq_begun + 1) bad_seq("begin", seq, st.seq_begun);
         core::ServiceBeginRequest req;
         req.op = m.op;
         req.data_tag = m.data_tag;
         req.params = m.params;
-        const core::ServiceDecision d = st.session->begin_op(req);
+        st.last_decision = st.service->begin_op(req);
         st.seq_begun = seq;
         // Record the request with the operation name resolved, so replay
         // renders the identical line from its own register_ok.
         core::ServiceBeginRequest recorded = req;
-        if (recorded.op.empty()) recorded.op = st.session->status().op;
-        record_line(render_begin_line(c.sid, st.seq_begun, recorded, d));
-        st.begin_reply = encode_begin_ok(d);
-        c.enqueue(st.begin_reply);
+        if (recorded.op.empty()) recorded.op = st.service->status().op;
+        append(render_begin_line(c.sid, seq, recorded, st.last_decision));
+        c.enqueue(encode_begin_ok(st.last_decision));
         return;
       }
       case MsgType::kEndOp: {
@@ -312,29 +309,21 @@ struct Server::Impl {
         const std::uint64_t seq = requested == 0 ? st.seq_begun : requested;
         if (seq == st.seq_completed && seq > 0) {
           ++stats.replayed_cached;
-          c.enqueue(st.end_reply);
+          c.enqueue(encode_end_ok(st.last_result));
           return;
         }
-        if (seq != st.seq_completed + 1) {
-          throw ServeError(ErrorCode::kBadSeq,
-                           "end seq " + std::to_string(seq) +
-                               " is neither cached (" +
-                               std::to_string(st.seq_completed) +
-                               ") nor next (" +
-                               std::to_string(st.seq_completed + 1) + ")");
-        }
-        const core::ServiceOpResult r = st.session->end_op();
-        st.seq_completed = r.seq;
-        record_line(render_end_line(c.sid, r.seq, r));
+        if (seq != st.seq_completed + 1) bad_seq("end", seq, st.seq_completed);
+        st.last_result = st.service->end_op();
+        st.seq_completed = st.last_result.seq;
+        append(render_end_line(c.sid, st.seq_completed, st.last_result));
         ++stats.ops;
-        st.end_reply = encode_end_ok(r);
-        c.enqueue(st.end_reply);
+        c.enqueue(encode_end_ok(st.last_result));
         return;
       }
       case MsgType::kStatus: {
         decode_empty(frame.payload, frame.type);
         StatusOkMsg ok;
-        if (c.state) ok.session = c.state->session->status();
+        if (c.state) ok.session = c.state->service->status();
         ok.sessions_active = live_sessions();
         ok.ops_served = stats.ops;
         c.enqueue(encode_status_ok(ok));
@@ -404,11 +393,11 @@ struct Server::Impl {
     // unread replies are its own loss, unbounded memory would be ours.
     if (config.max_outbuf_bytes > 0 &&
         c.out.pending_bytes() > config.max_outbuf_bytes) {
-      ++stats.slow_consumer_closes;
-      record_lifecycle(obs::TraceEvent("serve.close", 0.0)
-                           .field("sid", static_cast<std::size_t>(c.sid))
-                           .field("reason", "slow_consumer")
-                           .field("bytes", c.out.pending_bytes()));
+      lifecycle(stats.slow_consumer_closes,
+                obs::TraceEvent("serve.close", 0.0)
+                    .field("sid", static_cast<std::size_t>(c.sid))
+                    .field("reason", "slow_consumer")
+                    .field("bytes", c.out.pending_bytes()));
       return false;
     }
     return true;
@@ -458,10 +447,7 @@ struct Server::Impl {
                      "connection limit reached (" +
                          std::to_string(config.max_connections) +
                          "); retry later"}));
-        ++stats.sheds;
-        record_lifecycle(obs::TraceEvent("serve.shed", 0.0)
-                             .field("sid", std::size_t{0})
-                             .field("scope", "connections"));
+        count_shed(0, "connections");
         connections.push_back(std::move(c));
         continue;
       }
@@ -491,20 +477,20 @@ struct Server::Impl {
               : 0.0;
       if (config.frame_timeout_s > 0.0 &&
           partial_s > config.frame_timeout_s) {
-        ++stats.frame_timeouts;
-        record_lifecycle(obs::TraceEvent("serve.timeout", 0.0)
-                             .field("sid", static_cast<std::size_t>(c.sid))
-                             .field("kind", "frame")
-                             .field("stalled_s", partial_s));
+        lifecycle(stats.frame_timeouts,
+                  obs::TraceEvent("serve.timeout", 0.0)
+                      .field("sid", static_cast<std::size_t>(c.sid))
+                      .field("kind", "frame")
+                      .field("stalled_s", partial_s));
         it = destroy(it);
         continue;
       }
       if (config.idle_timeout_s > 0.0 && idle_s > config.idle_timeout_s) {
-        ++stats.idle_timeouts;
-        record_lifecycle(obs::TraceEvent("serve.timeout", 0.0)
-                             .field("sid", static_cast<std::size_t>(c.sid))
-                             .field("kind", "idle")
-                             .field("idle_s", idle_s));
+        lifecycle(stats.idle_timeouts,
+                  obs::TraceEvent("serve.timeout", 0.0)
+                      .field("sid", static_cast<std::size_t>(c.sid))
+                      .field("kind", "idle")
+                      .field("idle_s", idle_s));
         it = destroy(it);
         continue;
       }
@@ -512,45 +498,31 @@ struct Server::Impl {
     }
   }
 
-  // Rebuild every session recorded in the write-ahead log as a parked
-  // session, replaying its (sid, seq) history through a fresh
-  // DecisionService. Sessions are pure functions of (app, scenario, seed,
-  // request sequence), so the reconstructed state — including the cached
-  // idempotent replies — is byte-identical to the pre-crash daemon's.
-  void replay_wal() {
-    std::ifstream in(config.resume_path, std::ios::binary);
-    SPECTRA_REQUIRE(in.good(),
-                    "cannot open resume log: " + config.resume_path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string text = ss.str();
-    in.close();
-    // A SIGKILL mid-line leaves a partial tail; parse the intact prefix
-    // and cut the file so appended lines glue onto a clean boundary.
+  // Replay the write-ahead log in-process and park every session it
+  // rebuilds: sessions are pure functions of (app, scenario, seed, request
+  // sequence), so this is the pre-crash daemon's state, last replies
+  // included. A log that does not re-render identically is refused.
+  void recover() {
+    std::string text = read_record(config.record_path);
+    // A SIGKILL mid-line leaves a partial tail; once the intact prefix
+    // checks out, cut it so appended lines glue onto a clean boundary.
     stats.wal_truncated_bytes = strip_partial_tail(text);
+    const ReplayResult r =
+        replay_in_process(text, factory, [this](SessionState&& st) {
+          next_sid = std::max(next_sid, st.sid);
+          park_order.push_back(st.sid);
+          parked.insert_or_assign(st.sid, std::move(st));
+        });
+    SPECTRA_REQUIRE(r.identical,
+                    "cannot resume " + config.record_path +
+                        ": it does not replay identically (canonical line " +
+                        std::to_string(r.mismatch_line) + ")\n  logged:   " +
+                        r.expected_line + "\n  replayed: " + r.actual_line);
     if (stats.wal_truncated_bytes > 0) {
-      std::filesystem::resize_file(config.resume_path, text.size());
+      std::filesystem::resize_file(config.record_path, text.size());
     }
-    for (ReplaySession& sess : parse_record(text)) {
-      SessionState st;
-      st.sid = sess.sid;
-      st.session = factory(sess.app, sess.scenario, sess.seed);
-      for (const ReplayOp& op : sess.ops) {
-        const core::ServiceDecision d = st.session->begin_op(op.request);
-        st.seq_begun = op.seq;
-        st.begin_reply = encode_begin_ok(d);
-        ++stats.wal_ops;
-        if (op.has_end) {
-          const core::ServiceOpResult r = st.session->end_op();
-          st.seq_completed = r.seq;
-          st.end_reply = encode_end_ok(r);
-        }
-      }
-      if (sess.sid > next_sid) next_sid = sess.sid;
-      park_order.push_back(sess.sid);
-      parked.insert_or_assign(sess.sid, std::move(st));
-      ++stats.wal_sessions;
-    }
+    stats.wal_sessions = r.sessions;
+    stats.wal_ops = r.ops;
   }
 };
 
@@ -572,6 +544,7 @@ Server::~Server() = default;
 std::uint16_t Server::bind() {
   Impl& s = *impl_;
   SPECTRA_REQUIRE(s.listen_fd < 0, "bind() called twice");
+  if (s.config.resume) s.recover();
   s.listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   SPECTRA_REQUIRE(s.listen_fd >= 0, "socket() failed: " +
                                         std::string(std::strerror(errno)));
@@ -597,15 +570,12 @@ std::uint16_t Server::bind() {
   SPECTRA_REQUIRE(::getsockname(s.listen_fd,
                                 reinterpret_cast<sockaddr*>(&addr), &len) == 0,
                   "getsockname() failed");
-  if (!s.config.resume_path.empty()) s.replay_wal();
   if (!s.config.record_path.empty()) {
-    // When continuing the log we replayed from, append; a fresh record
-    // path truncates as before.
-    const bool append = s.config.record_path == s.config.resume_path;
-    s.record = obs::TraceSink::open(s.config.record_path, append);
+    // A resumed log is continued; a fresh one truncates.
+    s.record = obs::TraceSink::open(s.config.record_path, s.config.resume);
   }
-  if (!s.config.resume_path.empty()) {
-    s.record_lifecycle(
+  if (s.config.resume) {
+    s.append(
         obs::TraceEvent("serve.recovered", 0.0)
             .field("sessions", static_cast<std::size_t>(s.stats.wal_sessions))
             .field("ops", static_cast<std::size_t>(s.stats.wal_ops))

@@ -21,7 +21,7 @@
 // record log is open, appends a lifecycle trace line.
 //
 // Sessions survive their connections: when a connection dies, its session
-// is parked (bounded by max_parked) and a later connection can re-attach
+// is parked (at most 256, oldest evicted) and a later connection can re-attach
 // with kResume, continuing at the same (sid, seq). Begin/end requests are
 // idempotent on their seq key — a re-issued request whose reply was lost
 // is answered from the per-session reply cache without re-executing —
@@ -39,17 +39,19 @@
 // When `record_path` is set, every session registration, decision, and
 // operation result is appended as a deterministic JSONL line in
 // socket-arrival order (see serve/record.h for the canonical form) and
-// flushed line-by-line, making the record a write-ahead log: a daemon
-// killed outright can be restarted with `resume_path` pointing at the
-// same file, which replays every session's (sid, seq) history through
-// its DecisionService before accepting traffic — byte-identical to a run
-// that never crashed, because sessions are pure functions of
-// (app, scenario, seed, request sequence).
+// flushed to the kernel line by line before the reply goes out, making the
+// record a write-ahead log that survives kill -9 (not an OS crash: there
+// is no fsync). A daemon killed outright restarts with `resume` set: bind()
+// replays the log in-process (serve/replay.h) into parked sessions and
+// refuses it unless the re-rendered record equals the logged one, then
+// appends to it — byte-identical to a run that never crashed, because
+// sessions are pure functions of (app, scenario, seed, request sequence).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/decision_service.h"
 
@@ -59,13 +61,11 @@ struct ServeConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;       // 0 = ephemeral; bind() returns the choice
   std::string record_path;      // empty = no operation-trace record
-  // Replay this write-ahead log into parked sessions before accepting
-  // traffic. May equal record_path, in which case the log is continued
-  // in place (opened append, partial tail truncated).
-  std::string resume_path;
+  // Recover record_path before accepting traffic (its partial tail cut,
+  // its sessions re-driven and parked) and keep appending to it.
+  bool resume = false;
   std::size_t max_connections = 256;
   std::size_t max_sessions = 256;   // registered sessions on live connections
-  std::size_t max_parked = 256;     // disconnected sessions kept resumable
   double idle_timeout_s = 30.0;     // no bytes read for this long → close (0 = off)
   double frame_timeout_s = 5.0;     // half-read frame stalled → close (0 = off)
   std::size_t max_outbuf_bytes = 4u << 20;  // undelivered replies cap (0 = off)
@@ -83,10 +83,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Create, bind, and listen on the configured address; replay
-  // resume_path (when set) into parked sessions. Returns the bound port
-  // (the kernel's pick when config.port == 0). Throws util::ContractError
-  // on socket errors or an unparseable resume log.
+  // With `resume`, recover the record first; then create, bind, and listen
+  // on the configured address. Returns the bound port (the kernel's pick
+  // when config.port == 0). Throws util::ContractError on socket errors
+  // and, before any socket exists, on a log that does not parse or does
+  // not replay identically (naming its first differing canonical line).
   std::uint16_t bind();
 
   struct Stats {
@@ -107,7 +108,7 @@ class Server {
     std::uint64_t parked = 0;            // sessions parked at disconnect
     std::uint64_t resumed = 0;           // kResume re-attachments served
     std::uint64_t replayed_cached = 0;   // idempotent replies from cache
-    std::uint64_t wal_sessions = 0;      // sessions rebuilt from resume_path
+    std::uint64_t wal_sessions = 0;      // sessions rebuilt from the WAL
     std::uint64_t wal_ops = 0;           // operations replayed from the WAL
     std::uint64_t wal_truncated_bytes = 0;  // partial tail cut from the WAL
   };
@@ -127,6 +128,27 @@ class Server {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+};
+
+// Every Server::Stats counter with its report name, in report order: the
+// daemon's shutdown ledger and --stats-json both print this list.
+inline constexpr std::pair<const char*, std::uint64_t Server::Stats::*>
+    kStatsCounters[] = {
+        {"connections", &Server::Stats::connections},
+        {"ops", &Server::Stats::ops},
+        {"sheds", &Server::Stats::sheds},
+        {"idle_timeouts", &Server::Stats::idle_timeouts},
+        {"frame_timeouts", &Server::Stats::frame_timeouts},
+        {"slow_consumer_closes", &Server::Stats::slow_consumer_closes},
+        {"protocol_errors", &Server::Stats::protocol_errors},
+        {"dropped_frames", &Server::Stats::dropped_frames},
+        {"dropped_bytes", &Server::Stats::dropped_bytes},
+        {"parked", &Server::Stats::parked},
+        {"resumed", &Server::Stats::resumed},
+        {"replayed_cached", &Server::Stats::replayed_cached},
+        {"wal_sessions", &Server::Stats::wal_sessions},
+        {"wal_ops", &Server::Stats::wal_ops},
+        {"wal_truncated_bytes", &Server::Stats::wal_truncated_bytes},
 };
 
 }  // namespace spectra::serve

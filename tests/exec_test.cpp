@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "scenario/batch.h"
 #include "scenario/experiment.h"
 #include "scenario/sweep.h"
+#include "util/assert.h"
 #include "util/log.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -249,6 +251,33 @@ TEST(BatchRunnerTest, MapRunsWithoutSessionPassesNullObs) {
         return i;
       });
   EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+// The worker count is range-checked on its text before any pool exists:
+// each job is an OS thread, so --jobs=100000 used to start 100,000 of them,
+// --jobs=-1 meant "unset" and SPECTRA_JOBS=abc one per hardware thread.
+TEST(ResolveJobsTest, RangeChecksTheRequestBeforeAnyPoolExists) {
+  using scenario::kMaxJobs;
+  using scenario::resolve_jobs;
+  ::unsetenv("SPECTRA_JOBS");
+  EXPECT_EQ(resolve_jobs(std::nullopt), 1u);
+  EXPECT_EQ(resolve_jobs("3"), 3u);
+  EXPECT_EQ(resolve_jobs(std::to_string(kMaxJobs)),
+            static_cast<std::size_t>(kMaxJobs));
+  EXPECT_EQ(resolve_jobs("0"), exec::ThreadPool::hardware_concurrency());
+  for (const std::string& bad :
+       {std::to_string(kMaxJobs + 1), std::string("-1"), std::string("abc"),
+        std::string("2x"), std::string("")}) {
+    EXPECT_THROW(resolve_jobs(bad), util::ContractError) << bad;
+  }
+  ::setenv("SPECTRA_JOBS", "2", 1);
+  EXPECT_EQ(resolve_jobs(std::nullopt), 2u);
+  EXPECT_EQ(resolve_jobs("5"), 5u);  // --jobs beats the environment
+  ::setenv("SPECTRA_JOBS", "abc", 1);
+  EXPECT_THROW(resolve_jobs(std::nullopt), util::ContractError);
+  ::setenv("SPECTRA_JOBS", std::to_string(kMaxJobs + 1).c_str(), 1);
+  EXPECT_THROW(resolve_jobs(std::nullopt), util::ContractError);
+  ::unsetenv("SPECTRA_JOBS");
 }
 
 TEST(TrainedWorldCacheTest, SameKeySharesOneWorld) {

@@ -10,7 +10,10 @@
 // canonical bytes against tests/golden/serve_record.jsonl.golden (nullop)
 // and tests/golden/serve_apps_record.jsonl.golden (one session per
 // simulated app), then replay each golden and assert byte-identical
-// decisions.
+// decisions. The write-ahead-log tests cut a recorded run at every line
+// boundary (and once inside a line), resume each cut and finish the run,
+// and require the record of an uninterrupted run; a corrupted digit must
+// make resume refuse the log.
 //
 // Regenerate the golden (a reviewed event, never an accident) with
 //   SPECTRA_UPDATE_GOLDEN=1 ./build/tests/serve_test
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1056,7 +1060,7 @@ TEST(ServerTest, WalResumeContinuesRecordByteIdentically) {
     // Phase 2: restart with --resume on the same log, re-attach, continue.
     ServeConfig cfg;
     cfg.record_path = wal;
-    cfg.resume_path = wal;
+    cfg.resume = true;
     ServerFixture fx(std::move(cfg));
     BlockingClient client("127.0.0.1", fx.port());
     client.hello("phase2");
@@ -1097,6 +1101,158 @@ TEST(ServerTest, WalResumeContinuesRecordByteIdentically) {
       << "crash + --resume diverged from the uninterrupted run";
 }
 
+// ---- the write-ahead log at every crash point ----------------------------
+
+// Two nullop sessions of three ops each, driven with explicit seqs so that a
+// resumed session continues exactly where its log left off.
+constexpr std::uint64_t kSweepSessions = 2;
+constexpr std::uint64_t kSweepOps = 3;
+
+struct SweepSession {
+  std::unique_ptr<BlockingClient> client;
+  std::uint64_t begun = 0;
+  std::uint64_t completed = 0;
+
+  // Register session `sid` (it must be the sid the daemon hands out).
+  void start(std::uint16_t port, std::uint64_t sid) {
+    client = std::make_unique<BlockingClient>("127.0.0.1", port);
+    ASSERT_EQ(client->hello("sweep").session_id, sid);
+    client->register_app("nullop", "baseline", 20 + sid);
+  }
+
+  // Re-attach session `sid` at the seqs the daemon rebuilt.
+  void resume(std::uint16_t port, std::uint64_t sid) {
+    client = std::make_unique<BlockingClient>("127.0.0.1", port);
+    client->hello("sweep");
+    const ResumeOkMsg ok = client->resume(sid);
+    begun = ok.seq_begun;
+    completed = ok.seq_completed;
+  }
+
+  // End the open op, or else run the next one; nothing once all are done.
+  void step() {
+    if (completed == kSweepOps) return;
+    if (begun == completed) {
+      BeginOpMsg begin;
+      begin.seq = ++begun;
+      ASSERT_TRUE(client->begin_op(begin).ok);
+    }
+    ASSERT_TRUE(client->end_op(begun).ok);
+    completed = begun;
+  }
+};
+
+// Brings every sweep session to kSweepOps completed ops, round-robin.
+void finish_sweep(std::vector<SweepSession>& sessions) {
+  for (std::uint64_t op = 0; op < kSweepOps; ++op) {
+    for (SweepSession& s : sessions) s.step();
+  }
+  for (SweepSession& s : sessions) s.client->close();
+}
+
+// The uninterrupted run's raw log.
+std::string record_sweep(const std::string& path) {
+  std::remove(path.c_str());
+  ServeConfig cfg;
+  cfg.record_path = path;
+  ServerFixture fx(std::move(cfg));
+  std::vector<SweepSession> sessions(kSweepSessions);
+  for (std::uint64_t sid = 1; sid <= kSweepSessions; ++sid) {
+    sessions[sid - 1].start(fx.port(), sid);
+  }
+  finish_sweep(sessions);
+  fx.stop();
+  return read_file(path);
+}
+
+TEST(ServerTest, WalRecoversAtEveryCrashPoint) {
+  const std::string log =
+      record_sweep(::testing::TempDir() + "/serve_sweep_reference.jsonl");
+  const std::string reference = canonicalize_record(log);
+  const std::vector<std::string> lines = split_lines(log);
+  ASSERT_EQ(lines.size(), kSweepSessions * (1 + 2 * kSweepOps));
+
+  // Every line boundary, then one torn tail: half of the middle line.
+  std::vector<std::string> cuts;
+  std::string prefix;
+  for (const std::string& line : lines) {
+    cuts.push_back(prefix);
+    prefix += line + "\n";
+  }
+  cuts.push_back(prefix);
+  const std::size_t mid = lines.size() / 2;
+  cuts.push_back(cuts[mid] + lines[mid].substr(0, lines[mid].size() / 2));
+
+  const std::string path = ::testing::TempDir() + "/serve_sweep_cut.jsonl";
+  for (std::size_t i = 0; i < cuts.size(); ++i) {
+    SCOPED_TRACE("cut " + std::to_string(i) + " of " +
+                 std::to_string(cuts.size()));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << cuts[i];
+    std::string intact = cuts[i];
+    strip_partial_tail(intact);
+    std::vector<bool> logged(kSweepSessions, false);
+    for (const ReplaySession& sess : parse_record(intact)) {
+      logged[sess.sid - 1] = true;
+    }
+    {
+      ServeConfig cfg;
+      cfg.record_path = path;
+      cfg.resume = true;
+      ServerFixture fx(std::move(cfg));
+      std::vector<SweepSession> sessions(kSweepSessions);
+      // Sids go out in accept order, so the sessions that must register
+      // connect before the ones that resume.
+      for (std::uint64_t sid = 1; sid <= kSweepSessions; ++sid) {
+        if (!logged[sid - 1]) sessions[sid - 1].start(fx.port(), sid);
+      }
+      for (std::uint64_t sid = 1; sid <= kSweepSessions; ++sid) {
+        if (logged[sid - 1]) sessions[sid - 1].resume(fx.port(), sid);
+      }
+      finish_sweep(sessions);
+      fx.stop();
+    }
+    EXPECT_EQ(canonicalize_record(read_file(path)), reference);
+    ReplayConfig rc;
+    rc.record_path = path;
+    const ReplayResult replay =
+        run_replay(rc, scenario::app_service_factory());
+    EXPECT_TRUE(replay.identical)
+        << "first divergence at canonical line " << replay.mismatch_line;
+  }
+}
+
+TEST(ServerTest, CorruptedWalIsRefusedAtResume) {
+  const std::string log =
+      record_sweep(::testing::TempDir() + "/serve_corrupt_reference.jsonl");
+  const std::string path = ::testing::TempDir() + "/serve_corrupt.jsonl";
+  // One digit of a decision's predicted time, an op's measured time, and a
+  // session's virtual time.
+  for (const std::string key : {"pred_time", "time", "t"}) {
+    SCOPED_TRACE(key);
+    std::string bad = log;
+    const std::size_t field = bad.find("\"" + key + "\":");
+    ASSERT_NE(field, std::string::npos);
+    const std::size_t digit =
+        bad.find_first_of("0123456789", field + key.size() + 3);
+    bad[digit] = bad[digit] == '9' ? '0' : static_cast<char>(bad[digit] + 1);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+
+    ServeConfig cfg;
+    cfg.record_path = path;
+    cfg.resume = true;
+    Server server(std::move(cfg), scenario::app_service_factory());
+    try {
+      server.bind();
+      ADD_FAILURE() << "a corrupted log was resumed";
+    } catch (const util::ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("canonical line"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(read_file(path), bad) << "a refused log must stay untouched";
+  }
+}
+
 // ---- the self-healing client ---------------------------------------------
 
 TEST(ResilientClientTest, SurvivesDaemonKillAndRestart) {
@@ -1125,7 +1281,7 @@ TEST(ResilientClientTest, SurvivesDaemonKillAndRestart) {
   ServeConfig cfg2;
   cfg2.port = port;
   cfg2.record_path = wal;
-  cfg2.resume_path = wal;
+  cfg2.resume = true;
   ServerFixture fx2(std::move(cfg2));
 
   // The client's next calls ride reconnect → resume → re-issue.
