@@ -9,6 +9,7 @@
 
 #include "scenario/batch.h"
 #include "scenario/sweep.h"
+#include "util/assert.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -17,14 +18,22 @@ namespace spectra::bench {
 // Worker count for a bench target: `--jobs=N` on the command line beats the
 // SPECTRA_JOBS environment variable; 0 means one worker per hardware
 // thread; default 1 (sequential). Table output is bit-identical for any N —
-// runs are scheduled across workers but aggregated in a fixed order.
+// runs are scheduled across workers but aggregated in a fixed order. A
+// refused count prints `<bench>: <reason>` and exits 2 before any work.
 inline std::size_t jobs_from_args(int argc, char** argv) {
   std::optional<std::string> requested;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--jobs=", 0) == 0) requested = arg.substr(7);
   }
-  return scenario::resolve_jobs(requested);
+  try {
+    return scenario::resolve_jobs(requested);
+  } catch (const util::ContractError& err) {
+    const std::string self = argc > 0 ? argv[0] : "bench";
+    std::cerr << self.substr(self.find_last_of('/') + 1) << ": "
+              << err.what() << "\n";
+    std::exit(2);
+  }
 }
 
 // Number of trials per data point (the paper uses 5 with 90% confidence

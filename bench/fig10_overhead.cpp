@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   // Observability overhead: the same 1-server null-op experiment with a
   // live trace sink plus metrics registry attached, against the plain run
-  // above. Acceptance: tracing adds < 5% to the per-op wall-clock total.
+  // above. Budget: tracing adds < 5% to the decision latency.
   OverheadExperiment::Config cfg;
   cfg.servers = 1;
   cfg.measured_runs = 1000;
@@ -95,9 +95,10 @@ int main(int argc, char** argv) {
     if (rep == 0 || m.begin_ms < mid_r.begin_ms) mid_r = m;
     if (rep == 0 || t.begin_ms < on_r.begin_ms) on_r = t;
   }
-  // Acceptance tracks decision latency — begin_fidelity_op, the phase that
-  // snapshots, solves, and (when tracing) writes the decision explain
+  // The budget tracks decision latency — begin_fidelity_op, the phase
+  // that snapshots, solves, and (when tracing) writes the decision explain
   // record. end_fidelity_op's record is charged to end, not here.
+  constexpr double kBudgetPct = 5.0;
   const auto pct = [&](const OverheadReport& r) {
     return off_r.begin_ms > 0.0
                ? 100.0 * (r.begin_ms - off_r.begin_ms) / off_r.begin_ms
@@ -109,7 +110,10 @@ int main(int argc, char** argv) {
             << util::Table::num(pct(mid_r), 1) << "%); "
             << util::Table::num(on_r.begin_ms, 4)
             << " ms --trace + --metrics (" << util::Table::num(pct(on_r), 1)
-            << "%, acceptance < 5%).\nWhole null op with trace + metrics: "
+            << "%).\nTracing budget < " << util::Table::num(kBudgetPct, 0)
+            << "% of decision latency: "
+            << (pct(on_r) < kBudgetPct ? "met" : "NOT met")
+            << ".\nWhole null op with trace + metrics: "
             << util::Table::num(off_r.total_ms, 4) << " ms -> "
             << util::Table::num(on_r.total_ms, 4) << " ms; "
             << obs.trace()->events() << " trace events, "

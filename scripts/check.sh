@@ -249,12 +249,19 @@ echo "  corrupted WAL refused at resume (exit $CORRUPT_RC)"
 echo "== sanitize smoke (address) =="
 # obs_test covers the trace/metrics hot paths; fleet_test drives the
 # admission queue, load board, and the parallel fleet tick pipeline (its
-# determinism suites run --jobs=8 worlds) under ASan.
+# determinism suites run --jobs=8 worlds) under ASan. predict_test covers
+# the flat X'X regrowth and the multi-response index arithmetic,
+# monitor_test the network monitor's refresh cursor, and golden_trace_test
+# whole Pangloss, speech and Latex decisions against their goldens.
 SMOKE="$BUILD-asan"
 cmake -B "$SMOKE" -S . -DSPECTRA_SANITIZE=address >/dev/null
-cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test spectra
+cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test \
+    predict_test monitor_test golden_trace_test spectra
 "$SMOKE/tests/obs_test"
 "$SMOKE/tests/fleet_test"
+"$SMOKE/tests/predict_test"
+"$SMOKE/tests/monitor_test"
+"$SMOKE/tests/golden_trace_test"
 "$SMOKE/src/cli/spectra" scenarios >/dev/null
 # 10k-client multi-island fleet under ASan: the SoA client store, the
 # per-island tick arenas, and the admission cookie/metadata slot reuse at

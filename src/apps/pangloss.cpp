@@ -10,9 +10,10 @@ namespace {
 const std::array<const char*, 4> kComponentNames = {"ebmt", "gloss", "dict",
                                                     "lm"};
 
-// Feature names of one component, interned once per process: the solver
+// Names of one component, built and interned once per process: the solver
 // maps every candidate, so no name may be built or looked up per call.
 struct ComponentFeatures {
+  std::string key;        // the engine's fidelity-map key (engines only)
   util::Symbol engine;    // discrete: fidelity flag (engines only)
   util::Symbol local_w;   // words, component runs locally
   util::Symbol remote_w;  // words, component runs remotely
@@ -24,7 +25,7 @@ const std::array<ComponentFeatures, 4>& component_features() {
     std::array<ComponentFeatures, 4> out;
     for (std::size_t c = 0; c < out.size(); ++c) {
       const std::string name = kComponentNames[c];
-      out[c] = {util::Symbol(name), util::Symbol(name + "_local_w"),
+      out[c] = {name, util::Symbol(name), util::Symbol(name + "_local_w"),
                 util::Symbol(name + "_remote_w"),
                 util::Symbol(name + "_remote_i")};
     }
@@ -32,6 +33,13 @@ const std::array<ComponentFeatures, 4>& component_features() {
   }();
   return names;
 }
+
+// The components in name order (dict, ebmt, gloss, lm): the feature hook
+// emits in this order so that every insert appends.
+constexpr std::array<int, 4> kNameOrder = {PanglossApp::kDict,
+                                           PanglossApp::kEbmt,
+                                           PanglossApp::kGloss,
+                                           PanglossApp::kLm};
 }  // namespace
 
 void PanglossApp::install_files(fs::FileServer& server) const {
@@ -74,7 +82,7 @@ void PanglossApp::install_services(core::SpectraServer& server,
 
 bool PanglossApp::component_enabled(const solver::Alternative& alt, int c) {
   if (c == kLm) return true;  // the language modeler always runs
-  return alt.fidelity.at(kComponentNames[c]) > 0.5;
+  return alt.fidelity.at(component_features()[c].key) > 0.5;
 }
 
 bool PanglossApp::component_remote(const solver::Alternative& alt, int c) {
@@ -110,17 +118,22 @@ void PanglossApp::features(const solver::Alternative& alt,
   static const util::Symbol kWords("words");
   const auto& names = component_features();
   const double words = params.at(kWords);
+  // Each engine's fidelity flag, read once.
+  std::array<double, 4> flag{};
+  for (int c = 0; c < kLm; ++c) flag[c] = alt.fidelity.at(names[c].key);
+  flag[kLm] = 1.0;  // the language modeler always runs
   // Discrete: the fidelity subset only — the file predictor needs to know
   // which engines (and hence which data files) are in play, while demand is
-  // generalized across placements by the continuous features below.
-  for (int c = 0; c < kLm; ++c) {
-    f.discrete[names[c].engine] = alt.fidelity.at(kComponentNames[c]);
+  // generalized across placements by the continuous features below. Both
+  // maps are filled in name order, so every insert appends.
+  for (const int c : kNameOrder) {
+    if (c != kLm) f.discrete[names[c].engine] = flag[c];
   }
-  for (int c = 0; c <= kLm; ++c) {
-    if (!component_enabled(alt, c)) continue;
+  for (const int c : kNameOrder) {
+    if (!(flag[c] > 0.5)) continue;  // engine disabled
     if (component_remote(alt, c)) {
-      f.continuous[names[c].remote_w] = words;
       f.continuous[names[c].remote_i] = 1.0;
+      f.continuous[names[c].remote_w] = words;
     } else {
       f.continuous[names[c].local_w] = words;
     }
@@ -139,10 +152,11 @@ void PanglossApp::register_op(core::SpectraClient& client) const {
   const PanglossConfig cfg = config_;
   desc.latency_fn = solver::deadline_latency(cfg.deadline_lo, cfg.deadline_hi);
   desc.fidelity_fn = [cfg](const std::map<std::string, double>& f) {
+    const auto& names = component_features();
     double total = 0.0;
-    total += f.at("ebmt") * cfg.components[kEbmt].fidelity;
-    total += f.at("gloss") * cfg.components[kGloss].fidelity;
-    total += f.at("dict") * cfg.components[kDict].fidelity;
+    total += f.at(names[kEbmt].key) * cfg.components[kEbmt].fidelity;
+    total += f.at(names[kGloss].key) * cfg.components[kGloss].fidelity;
+    total += f.at(names[kDict].key) * cfg.components[kDict].fidelity;
     return total;  // 0 (no engines) => infeasible
   };
   desc.feature_fn = &PanglossApp::features;

@@ -34,15 +34,12 @@ void NetworkMonitor::attach(obs::Observability* obs) {
 
 void NetworkMonitor::refresh() {
   if (refreshes_metric_ != nullptr) refreshes_metric_->add();
-  const auto transfers =
-      network_.recent_transfers(self_, config_.observation_window);
+  const auto transfers = network_.recent_transfers(
+      self_, config_.observation_window, seen_id_);
+  seen_id_ = network_.total_transfers();
   for (const auto& t : transfers) {
     const MachineId other = (t.from == self_) ? t.to : t.from;
     PeerEstimate& est = peer(other);
-    // Dedup on the unique transfer id: transfers over a fast link can
-    // share a start tick, so a timestamp comparison would drop them.
-    if (t.id <= est.last_ingested_id) continue;  // already ingested
-    est.last_ingested_id = t.id;
     if (ingested_metric_ != nullptr) ingested_metric_->add();
     if (t.bytes <= config_.small_transfer_max) {
       // Short exchange: duration ~ one-way latency + negligible payload.
@@ -114,6 +111,7 @@ void NetworkMonitor::copy_state_from(const ResourceMonitor& src) {
   SPECTRA_REQUIRE(other != nullptr, "monitor type mismatch in copy_state_from");
   peers_ = other->peers_;
   machine_bw_ = other->machine_bw_;
+  seen_id_ = other->seen_id_;
   op_bytes_sent_ = other->op_bytes_sent_;
   op_bytes_received_ = other->op_bytes_received_;
   op_rpcs_ = other->op_rpcs_;

@@ -73,11 +73,6 @@ class NetworkMonitor : public ResourceMonitor {
   struct PeerEstimate {
     util::Ewma bandwidth;
     util::Ewma latency;
-    // Newest transfer id already ingested. Dedup must key on the unique
-    // id, not the start time: distinct transfers can start at the same
-    // virtual tick (fast link, sub-ulp durations), and a timestamp test
-    // would silently drop all but the first of them.
-    std::uint64_t last_ingested_id = 0;
     PeerEstimate(double alpha) : bandwidth(alpha), latency(alpha) {}
   };
 
@@ -91,6 +86,12 @@ class NetworkMonitor : public ResourceMonitor {
   NetworkMonitorConfig config_;
   std::map<MachineId, PeerEstimate> peers_;
   util::Ewma machine_bw_{0.5};  // first-hop estimate from all bulk traffic
+  // Newest transfer id examined: each refresh reads only later records.
+  // Exact, because an examined record was either ingested or already
+  // outside the window, and the window's cutoff only moves forward. Keyed
+  // on the unique id, not the start time: distinct transfers can start at
+  // the same virtual tick (fast link, sub-ulp durations).
+  std::uint64_t seen_id_ = 0;
   sim::EventId refresher_ = 0;
 
   // Cached metric handles; null when no Observability is attached.

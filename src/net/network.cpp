@@ -104,11 +104,19 @@ TransferResult Network::transfer(MachineId a, MachineId b, Bytes bytes) {
   return TransferResult{true, duration};
 }
 
-std::vector<TransferRecord> Network::recent_transfers(MachineId m,
-                                                      Seconds window) const {
+std::vector<TransferRecord> Network::recent_transfers(
+    MachineId m, Seconds window, std::uint64_t after_id) const {
   std::vector<TransferRecord> out;
   const Seconds cutoff = engine_.now() - window;
-  for (const auto& r : log_) {
+  // Ids are consecutive in log order, so the first record newer than
+  // `after_id` sits at a known offset from the oldest one kept.
+  auto it = log_.begin();
+  if (!log_.empty() && after_id >= log_.front().id) {
+    it += static_cast<std::ptrdiff_t>(
+        std::min<std::uint64_t>(after_id - log_.front().id + 1, log_.size()));
+  }
+  for (; it != log_.end(); ++it) {
+    const TransferRecord& r = *it;
     if (r.start + r.duration < cutoff) continue;
     if (r.from == m || r.to == m) out.push_back(r);
   }

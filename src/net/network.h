@@ -102,9 +102,12 @@ class Network {
   // Precondition: reachable(a, b) at the start.
   TransferResult transfer(MachineId a, MachineId b, Bytes bytes);
 
-  // Transfers observed at machine `m` within the trailing `window` seconds.
-  std::vector<TransferRecord> recent_transfers(MachineId m,
-                                               Seconds window) const;
+  // Transfers observed at machine `m` within the trailing `window` seconds,
+  // oldest first. With `after_id`, only those logged after that transfer
+  // are examined, so a consumer that remembers the newest id it has seen
+  // (total_transfers()) reads each record once.
+  std::vector<TransferRecord> recent_transfers(
+      MachineId m, Seconds window, std::uint64_t after_id = 0) const;
 
   std::size_t total_transfers() const { return total_transfers_; }
 

@@ -7,8 +7,7 @@
 
 namespace spectra::predict {
 
-double& FeatureMap::operator[](util::Symbol name) {
-  hash_valid_ = false;
+double& FeatureMap::find_or_insert(util::Symbol name) {
   // Binary search by name view: entries stay in name order so iteration
   // (and everything serialized from it) matches the old std::map bytes.
   std::size_t lo = 0, hi = entries_.size();

@@ -28,8 +28,9 @@
 
 namespace spectra::predict {
 
-// Flat name-sorted feature map. Small (a handful of entries), so inserts
-// use binary search over the name views and id lookups scan linearly.
+// Flat name-sorted feature map. Small (a handful of entries), so id
+// lookups scan linearly. An insert of a name that sorts after every entry
+// appends after one compare; any other name binary-searches the views.
 class FeatureMap {
  public:
   struct Entry {
@@ -54,8 +55,15 @@ class FeatureMap {
   }
 
   // Insert-or-find, keeping name order. Invalidates the memoized hash —
-  // callers write through the returned reference immediately.
-  double& operator[](util::Symbol name);
+  // callers write through the returned reference immediately. A hook that
+  // emits its features in name order never searches.
+  double& operator[](util::Symbol name) {
+    hash_valid_ = false;
+    if (entries_.empty() || entries_.back().name.view() < name.view()) {
+      return entries_.emplace_back(Entry{name, 0.0}).value;
+    }
+    return find_or_insert(name);
+  }
 
   // Lookup by id; null when absent.
   const double* find(util::Symbol name) const {
@@ -101,6 +109,8 @@ class FeatureMap {
   std::size_t hash() const;
 
  private:
+  double& find_or_insert(util::Symbol name);
+
   std::vector<Entry> entries_;
   mutable std::size_t hash_ = 0;
   mutable bool hash_valid_ = false;

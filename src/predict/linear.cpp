@@ -7,70 +7,90 @@
 
 namespace spectra::predict {
 
-RecencyLinear::RecencyLinear(double decay) : decay_(decay) {
+RecencyLinear::RecencyLinear(double decay, std::size_t responses)
+    : decay_(decay),
+      responses_(responses),
+      xtx_(1, 0.0),
+      xty_(responses, 0.0),
+      mean_num_(responses, 0.0) {
   SPECTRA_REQUIRE(decay > 0.0 && decay <= 1.0, "decay must be in (0,1]");
+  SPECTRA_REQUIRE(responses > 0, "a model needs at least one response");
 }
 
-void RecencyLinear::to_x(const FeatureMap& continuous,
-                         std::vector<double>& x) const {
-  x.assign(names_.size() + 1, 0.0);
-  x[0] = 1.0;
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    // A missing feature contributes zero; this lets callers predict with a
-    // subset of the features seen in training.
-    const double* v = continuous.find(names_[i]);
-    x[i + 1] = v != nullptr ? *v : 0.0;
-  }
-}
-
-void RecencyLinear::add(const FeatureMap& continuous, double y) {
-  if (xtx_.empty()) {
-    xtx_.assign(1, std::vector<double>(1, 0.0));
-    xty_.assign(1, 0.0);
-  }
+void RecencyLinear::grow(const FeatureMap& continuous) {
   // Samples may carry different feature subsets (a missing feature means
   // zero); grow the sufficient statistics when a new feature appears —
   // zero-padding is exact because every earlier sample had value 0 for it.
   // Iteration is in name order, so names_ keeps the same first-seen order
   // as with the old std::map representation.
+  const std::size_t old_d = dim();
   for (const auto& e : continuous) {
     if (std::find(names_.begin(), names_.end(), e.name) == names_.end()) {
       names_.push_back(e.name);
-      for (auto& row : xtx_) row.push_back(0.0);
-      xtx_.push_back(std::vector<double>(names_.size() + 1, 0.0));
-      xty_.push_back(0.0);
     }
   }
-  std::vector<double> x;
-  to_x(continuous, x);
-  const std::size_t d = x.size();
+  const std::size_t d = dim();
+  if (d == old_d) return;
+  std::vector<double> xtx(d * d, 0.0);
+  for (std::size_t i = 0; i < old_d; ++i) {
+    std::copy_n(xtx_.begin() + i * old_d, old_d, xtx.begin() + i * d);
+  }
+  xtx_.swap(xtx);
+  xty_.resize(d * responses_, 0.0);  // new rows last, as in x
+}
+
+void RecencyLinear::add(const FeatureMap& continuous, const double* y) {
+  grow(continuous);
+  // x = [1, features in names_ order]; a feature absent from this sample
+  // contributes zero.
+  const std::size_t d = dim();
+  const std::size_t k_count = responses_;
+  thread_local std::vector<double> x;
+  x.assign(d, 0.0);
+  x[0] = 1.0;
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    const double* v = continuous.find(names_[i]);
+    if (v != nullptr) x[i + 1] = *v;
+  }
   for (std::size_t i = 0; i < d; ++i) {
+    double* row = &xtx_[i * d];
     for (std::size_t j = 0; j < d; ++j) {
-      xtx_[i][j] = decay_ * xtx_[i][j] + x[i] * x[j];
+      row[j] = decay_ * row[j] + x[i] * x[j];
     }
-    xty_[i] = decay_ * xty_[i] + x[i] * y;
+    double* xty = &xty_[i * k_count];
+    for (std::size_t k = 0; k < k_count; ++k) {
+      xty[k] = decay_ * xty[k] + x[i] * y[k];
+    }
   }
   weight_ = decay_ * weight_ + 1.0;
   ++samples_;
-  mean_num_ = decay_ * mean_num_ + y;
+  for (std::size_t k = 0; k < k_count; ++k) {
+    mean_num_[k] = decay_ * mean_num_[k] + y[k];
+  }
   solve_cache_ = SolveCache::kStale;
 }
 
+void RecencyLinear::add(const FeatureMap& continuous, double y) {
+  SPECTRA_REQUIRE(responses_ == 1,
+                  "single-response add on a multi-response model");
+  add(continuous, &y);
+}
+
 bool RecencyLinear::solve(std::vector<double>& beta) const {
-  const std::size_t d = names_.size() + 1;
+  const std::size_t d = dim();
+  const std::size_t k_count = responses_;
   // Require one sample beyond exact identification before trusting slopes:
   // a line through two noisy points extrapolates wildly, and the weighted
   // mean is the better predictor until another sample arrives.
   if (samples_ < d + 1) return false;
   // Gaussian elimination with ridge regularization scaled to the trace so
   // that collinear histories (e.g. every sample at the same parameter
-  // value) degrade gracefully instead of exploding. `a` is xtx_ copied
-  // row-major into a flat buffer reused across solves on this thread.
+  // value) degrade gracefully instead of exploding. `a` is a copy of xtx_
+  // in a flat buffer reused across solves on this thread. The pivots and
+  // row multipliers depend on X'X alone, so each response's right-hand
+  // side sees exactly the operations of a single-response solve.
   thread_local std::vector<double> flat;
-  flat.resize(d * d);
-  for (std::size_t i = 0; i < d; ++i) {
-    std::copy(xtx_[i].begin(), xtx_[i].end(), flat.begin() + i * d);
-  }
+  flat.assign(xtx_.begin(), xtx_.end());
   const auto a = [&](std::size_t r, std::size_t c) -> double& {
     return flat[r * d + c];
   };
@@ -80,6 +100,7 @@ bool RecencyLinear::solve(std::vector<double>& beta) const {
   for (std::size_t i = 0; i < d; ++i) a(i, i) += ridge;
 
   beta = xty_;
+  const auto b = [&](std::size_t r) { return &beta[r * k_count]; };
   for (std::size_t col = 0; col < d; ++col) {
     // Partial pivoting.
     std::size_t pivot = col;
@@ -90,16 +111,18 @@ bool RecencyLinear::solve(std::vector<double>& beta) const {
     if (pivot != col) {
       std::swap_ranges(flat.begin() + col * d, flat.begin() + (col + 1) * d,
                        flat.begin() + pivot * d);
+      std::swap_ranges(b(col), b(col) + k_count, b(pivot));
     }
-    std::swap(beta[col], beta[pivot]);
     for (std::size_t r = 0; r < d; ++r) {
       if (r == col) continue;
       const double f = a(r, col) / a(col, col);
       for (std::size_t c = col; c < d; ++c) a(r, c) -= f * a(col, c);
-      beta[r] -= f * beta[col];
+      for (std::size_t k = 0; k < k_count; ++k) b(r)[k] -= f * b(col)[k];
     }
   }
-  for (std::size_t i = 0; i < d; ++i) beta[i] /= a(i, i);
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t k = 0; k < k_count; ++k) b(i)[k] /= a(i, i);
+  }
   return true;
 }
 
@@ -111,21 +134,40 @@ bool RecencyLinear::solved_beta(const std::vector<double>** beta) const {
   return solve_cache_ == SolveCache::kSolved;
 }
 
-double RecencyLinear::predict(const FeatureMap& continuous) const {
+void RecencyLinear::predict(const FeatureMap& continuous, double* out) const {
   SPECTRA_REQUIRE(!empty(), "predict on an untrained model");
+  const std::size_t k_count = responses_;
   const std::vector<double>* beta = nullptr;
-  if (!names_.empty() && solved_beta(&beta)) {
+  const bool fitted = !names_.empty() && solved_beta(&beta);
+  if (fitted) {
     // y = β₀·1 + Σ βᵢ·xᵢ over x = [1, features in names_ order], summed in
-    // that order; a feature absent from `continuous` contributes βᵢ·0.
-    double y = 0.0;
-    y += (*beta)[0] * 1.0;
+    // that order per response; a feature absent from `continuous`
+    // contributes βᵢ·0.
+    const double* b = beta->data();
+    for (std::size_t k = 0; k < k_count; ++k) {
+      out[k] = 0.0;
+      out[k] += b[k] * 1.0;
+    }
     for (std::size_t i = 0; i < names_.size(); ++i) {
       const double* v = continuous.find(names_[i]);
-      y += (*beta)[i + 1] * (v != nullptr ? *v : 0.0);
+      const double xi = v != nullptr ? *v : 0.0;
+      const double* bi = b + (i + 1) * k_count;
+      for (std::size_t k = 0; k < k_count; ++k) out[k] += bi[k] * xi;
     }
-    if (std::isfinite(y)) return std::max(0.0, y);
   }
-  return std::max(0.0, mean_num_ / weight_);
+  for (std::size_t k = 0; k < k_count; ++k) {
+    out[k] = fitted && std::isfinite(out[k])
+                 ? std::max(0.0, out[k])
+                 : std::max(0.0, mean_num_[k] / weight_);
+  }
+}
+
+double RecencyLinear::predict(const FeatureMap& continuous) const {
+  SPECTRA_REQUIRE(responses_ == 1,
+                  "single-response predict on a multi-response model");
+  double y = 0.0;
+  predict(continuous, &y);
+  return y;
 }
 
 }  // namespace spectra::predict

@@ -5,6 +5,12 @@
 // the sufficient statistics. With no continuous features (or insufficient
 // data to identify the slopes) it degrades to a recency-weighted mean,
 // which is exactly the paper's behaviour for parameter-free operations.
+//
+// One model may fit K responses that always arrive together on the same
+// features (an operation's local and remote cycles, say). They share X'X,
+// the sample weights and the elimination; each keeps its own X'y and
+// fallback mean, and is solved and summed in the same order as a model of
+// its own, so its predictions are bit-equal to that model's.
 #pragma once
 
 #include <vector>
@@ -16,17 +22,24 @@ namespace spectra::predict {
 
 class RecencyLinear {
  public:
-  // `decay` is the per-sample weight multiplier applied to history.
-  explicit RecencyLinear(double decay = 0.95);
+  // `decay` is the per-sample weight multiplier applied to history;
+  // `responses` the number of values each sample carries.
+  explicit RecencyLinear(double decay = 0.95, std::size_t responses = 1);
 
+  // One sample: `y` holds responses() values.
+  void add(const FeatureMap& continuous, const double* y);
+  // Single-response form.
   void add(const FeatureMap& continuous, double y);
 
-  // Prediction for the given continuous features; falls back to the
-  // weighted mean when the regression is not identifiable. Clamped to >= 0
-  // (resource demands are non-negative). Allocates nothing once the
-  // coefficients are solved.
+  // Prediction for the given continuous features, one value per response
+  // written to `out`; a response falls back to its weighted mean when the
+  // regression is not identifiable. Clamped to >= 0 (resource demands are
+  // non-negative). Allocates nothing once the coefficients are solved.
+  void predict(const FeatureMap& continuous, double* out) const;
+  // Single-response form.
   double predict(const FeatureMap& continuous) const;
 
+  std::size_t responses() const { return responses_; }
   double total_weight() const { return weight_; }
   bool empty() const { return weight_ <= 0.0; }
 
@@ -37,7 +50,10 @@ class RecencyLinear {
   }
 
  private:
-  void to_x(const FeatureMap& continuous, std::vector<double>& x) const;
+  std::size_t dim() const { return names_.size() + 1; }
+  // Adds the features of `continuous` not yet in names_, zero-padding the
+  // sufficient statistics.
+  void grow(const FeatureMap& continuous);
   // Eliminates on one flat per-thread buffer, never on model-owned scratch:
   // every World clone copies the models, so scratch kept here would be
   // paid for by every parked session.
@@ -49,17 +65,18 @@ class RecencyLinear {
   bool solved_beta(const std::vector<double>** beta) const;
 
   double decay_;
+  std::size_t responses_;
   std::vector<util::Symbol> names_;  // fixed at first sample, name order
-  // Sufficient statistics over x = [1, features...]:
-  std::vector<std::vector<double>> xtx_;  // Σ w·x·xᵀ
-  std::vector<double> xty_;               // Σ w·x·y
+  // Sufficient statistics over x = [1, features...], d = dim():
+  std::vector<double> xtx_;  // Σ w·x·xᵀ, d×d row-major
+  std::vector<double> xty_;  // Σ w·x·y, d×K row-major (K responses)
   double weight_ = 0.0;
   std::size_t samples_ = 0;
-  double mean_num_ = 0.0;  // Σ w·y, for the fallback mean
+  std::vector<double> mean_num_;  // Σ w·y per response, for the fallback mean
 
   enum class SolveCache { kStale, kSolved, kFailed };
   mutable SolveCache solve_cache_ = SolveCache::kStale;
-  mutable std::vector<double> beta_;
+  mutable std::vector<double> beta_;  // d×K, laid out like xty_
 };
 
 }  // namespace spectra::predict

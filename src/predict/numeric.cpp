@@ -4,16 +4,19 @@
 
 namespace spectra::predict {
 
-NumericPredictor::NumericPredictor(NumericPredictorConfig config)
+NumericPredictor::NumericPredictor(NumericPredictorConfig config,
+                                   std::size_t responses)
     : config_(config),
-      global_(config.decay, config.min_bin_weight),
+      global_(config.decay, config.min_bin_weight, responses),
       per_data_(config.data_lru_capacity) {}
 
-void NumericPredictor::ModelSet::add(const FeatureVector& f, double y) {
+void NumericPredictor::ModelSet::add(const FeatureVector& f,
+                                     const double* y) {
   if (!f.discrete.empty()) {
     auto it = bins.find(f.discrete);
     if (it == bins.end()) {
-      it = bins.emplace(f.discrete, RecencyLinear(decay)).first;
+      it = bins.emplace(f.discrete, RecencyLinear(decay, generic.responses()))
+               .first;
     }
     it->second.add(f.continuous, y);
   }
@@ -39,30 +42,42 @@ const RecencyLinear* NumericPredictor::ModelSet::lookup(
   return nullptr;
 }
 
-void NumericPredictor::add(const FeatureVector& f, double y) {
+void NumericPredictor::add(const FeatureVector& f, const double* y) {
   global_.add(f, y);
   if (!f.data_tag.empty()) {
     ModelSet& set = per_data_.get_or_create(f.data_tag, [this] {
-      return ModelSet(config_.decay, config_.min_bin_weight);
+      return ModelSet(config_.decay, config_.min_bin_weight, responses());
     });
     set.add(f, y);
   }
 }
 
-double NumericPredictor::predict(const FeatureVector& f) const {
+void NumericPredictor::add(const FeatureVector& f, double y) {
+  SPECTRA_REQUIRE(responses() == 1,
+                  "single-response add on a multi-response predictor");
+  add(f, &y);
+}
+
+void NumericPredictor::predict(const FeatureVector& f, double* out) const {
   SPECTRA_REQUIRE(trained(), "predict on an untrained model");
+  const RecencyLinear* m = nullptr;
   if (!f.data_tag.empty()) {
     if (const ModelSet* set = per_data_.find(f.data_tag)) {
-      if (const RecencyLinear* m = set->lookup(f)) {
-        return m->predict(f.continuous);
-      }
+      m = set->lookup(f);
     }
   }
-  if (const RecencyLinear* m = global_.lookup(f)) {
-    return m->predict(f.continuous);
-  }
+  if (m == nullptr) m = global_.lookup(f);
   // Sparse history: fall back to whatever the generic model has.
-  return global_.generic.predict(f.continuous);
+  if (m == nullptr) m = &global_.generic;
+  m->predict(f.continuous, out);
+}
+
+double NumericPredictor::predict(const FeatureVector& f) const {
+  SPECTRA_REQUIRE(responses() == 1,
+                  "single-response predict on a multi-response predictor");
+  double y = 0.0;
+  predict(f, &y);
+  return y;
 }
 
 bool NumericPredictor::has_bin(const FeatureVector& f) const {

@@ -7,6 +7,11 @@
 //   * linear regression over continuous features within each bin;
 //   * data-specific models — an LRU cache of per-data-object model sets
 //     (e.g. per Latex document), consulted before the data-independent set.
+//
+// A predictor may carry K responses that always arrive together (one
+// sample stream): every bin, LRU entry and elimination is then shared, and
+// each response's predictions are bit-equal to those of a predictor of its
+// own fed the same stream.
 #pragma once
 
 #include <memory>
@@ -29,13 +34,22 @@ struct NumericPredictorConfig {
 
 class NumericPredictor {
  public:
-  explicit NumericPredictor(NumericPredictorConfig config = {});
+  explicit NumericPredictor(NumericPredictorConfig config = {},
+                            std::size_t responses = 1);
 
+  // One sample: `y` holds responses() values.
+  void add(const FeatureVector& f, const double* y);
+  // Single-response form.
   void add(const FeatureVector& f, double y);
 
-  // Predict demand for the given features. Resolution order: data-specific
-  // bin -> data-specific generic -> global bin -> global generic.
+  // Predict demand for the given features, one value per response written
+  // to `out`. Resolution order: data-specific bin -> data-specific generic
+  // -> global bin -> global generic.
+  void predict(const FeatureVector& f, double* out) const;
+  // Single-response form.
   double predict(const FeatureVector& f) const;
+
+  std::size_t responses() const { return global_.generic.responses(); }
 
   // True once any model has at least one sample.
   bool trained() const { return global_.generic_weight() > 0.0; }
@@ -46,10 +60,12 @@ class NumericPredictor {
 
  private:
   struct ModelSet {
-    explicit ModelSet(double decay_in = 0.95, double min_weight_in = 2.0)
-        : decay(decay_in), min_weight(min_weight_in), generic(decay_in) {}
+    ModelSet(double decay_in, double min_weight_in, std::size_t responses)
+        : decay(decay_in),
+          min_weight(min_weight_in),
+          generic(decay_in, responses) {}
 
-    void add(const FeatureVector& f, double y);
+    void add(const FeatureVector& f, const double* y);
     // nullopt when this set cannot answer confidently.
     const RecencyLinear* lookup(const FeatureVector& f) const;
     double generic_weight() const {

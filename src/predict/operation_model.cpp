@@ -3,11 +3,8 @@
 namespace spectra::predict {
 
 OperationModel::OperationModel(OperationModelConfig config)
-    : local_cycles_(config.numeric),
-      remote_cycles_(config.numeric),
-      bytes_sent_(config.numeric),
-      bytes_received_(config.numeric),
-      rpcs_(config.numeric),
+    : cycles_(config.numeric, 2),
+      transport_(config.numeric, 3),
       energy_(config.numeric),
       files_(config.file) {}
 
@@ -18,11 +15,10 @@ void OperationModel::observe(const FeatureVector& f,
 }
 
 void OperationModel::replay(const UsageRecord& r) {
-  local_cycles_.add(r.features, r.local_cycles);
-  remote_cycles_.add(r.features, r.remote_cycles);
-  bytes_sent_.add(r.features, r.bytes_sent);
-  bytes_received_.add(r.features, r.bytes_received);
-  rpcs_.add(r.features, r.rpcs);
+  const double cycles[2] = {r.local_cycles, r.remote_cycles};
+  cycles_.add(r.features, cycles);
+  const double transport[3] = {r.bytes_sent, r.bytes_received, r.rpcs};
+  transport_.add(r.features, transport);
   // Energy samples polluted by concurrent operations are skipped (§3.3.3).
   if (r.energy_valid) energy_.add(r.features, r.energy);
   files_.add(r.features, r.file_accesses);
@@ -31,23 +27,24 @@ void OperationModel::replay(const UsageRecord& r) {
 
 void OperationModel::observe_failure(const FeatureVector& f,
                                      const monitor::OperationUsage& partial) {
-  bytes_sent_.add(f, partial.bytes_sent);
-  bytes_received_.add(f, partial.bytes_received);
-  rpcs_.add(f, partial.rpcs);
+  const double transport[3] = {partial.bytes_sent, partial.bytes_received,
+                               static_cast<double>(partial.rpcs)};
+  transport_.add(f, transport);
   ++failure_observations_;
 }
 
 void OperationModel::predict(const FeatureVector& f,
                              DemandEstimate& e) const {
-  const auto metric = [&f](const NumericPredictor& p) {
-    return p.trained() ? p.predict(f) : 0.0;
-  };
-  e.local_cycles = metric(local_cycles_);
-  e.remote_cycles = metric(remote_cycles_);
-  e.bytes_sent = metric(bytes_sent_);
-  e.bytes_received = metric(bytes_received_);
-  e.rpcs = metric(rpcs_);
-  e.energy = metric(energy_);
+  double cycles[2] = {0.0, 0.0};
+  if (cycles_.trained()) cycles_.predict(f, cycles);
+  double transport[3] = {0.0, 0.0, 0.0};
+  if (transport_.trained()) transport_.predict(f, transport);
+  e.local_cycles = cycles[0];
+  e.remote_cycles = cycles[1];
+  e.bytes_sent = transport[0];
+  e.bytes_received = transport[1];
+  e.rpcs = transport[2];
+  e.energy = energy_.trained() ? energy_.predict(f) : 0.0;
   e.has_energy = energy_.trained();
   files_.predict(f, e.files);
 }

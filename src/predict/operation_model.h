@@ -1,11 +1,19 @@
 // Per-operation demand model: the bundle of default predictors Spectra
 // creates when an application calls register_fidelity (§3.4).
 //
-// One NumericPredictor per resource metric (local/remote CPU cycles, bytes
-// sent/received, RPC count, client energy) plus a FileAccessPredictor. The
-// execution plan and discrete fidelities arrive as discrete features, input
-// parameters and continuous fidelities as continuous features, so every
-// prediction is conditioned exactly the way the paper describes.
+// Default predictors for every resource metric (local/remote CPU cycles,
+// bytes sent/received, RPC count, client energy) plus a
+// FileAccessPredictor. The execution plan and discrete fidelities arrive
+// as discrete features, input parameters and continuous fidelities as
+// continuous features, so every prediction is conditioned exactly the way
+// the paper describes.
+//
+// The six metrics see the same features but arrive in three sample
+// streams, and each stream is one multi-response NumericPredictor: cycles
+// {local, remote} on every completed execution; transport {sent, received,
+// RPCs} on every completed execution and every failed remote attempt; and
+// energy, which skips samples a concurrent operation polluted. A metric's
+// predictions equal those of a predictor of its own fed the same samples.
 #pragma once
 
 #include <string>
@@ -62,18 +70,15 @@ class OperationModel {
   void predict(const FeatureVector& features, DemandEstimate& out) const;
 
   // True once at least one execution has been observed.
-  bool trained() const { return local_cycles_.trained(); }
+  bool trained() const { return cycles_.trained(); }
   std::size_t observations() const { return observations_; }
   std::size_t failure_observations() const { return failure_observations_; }
 
   const FileAccessPredictor& file_predictor() const { return files_; }
 
  private:
-  NumericPredictor local_cycles_;
-  NumericPredictor remote_cycles_;
-  NumericPredictor bytes_sent_;
-  NumericPredictor bytes_received_;
-  NumericPredictor rpcs_;
+  NumericPredictor cycles_;     // {local, remote}
+  NumericPredictor transport_;  // {bytes sent, bytes received, RPCs}
   NumericPredictor energy_;
   FileAccessPredictor files_;
   std::size_t observations_ = 0;

@@ -287,6 +287,61 @@ TEST(PanglossTest, EquivalentAlternativesShareFeatures) {
   EXPECT_EQ(fa.discrete, fraw.discrete);
 }
 
+// The feature hook as it was before it emitted in name order: engine
+// flags read per use, maps filled ebmt, gloss, dict, lm with `_remote_w`
+// before `_remote_i`, every name interned per call.
+void reference_features(const solver::Alternative& alt,
+                        const predict::FeatureMap& params,
+                        predict::FeatureVector& f) {
+  const std::array<const char*, 4> names = {"ebmt", "gloss", "dict", "lm"};
+  const double words = params.at(util::Symbol("words"));
+  for (int c = 0; c < PanglossApp::kLm; ++c) {
+    f.discrete[util::Symbol(names[c])] = alt.fidelity.at(names[c]);
+  }
+  for (int c = 0; c <= PanglossApp::kLm; ++c) {
+    if (c != PanglossApp::kLm && !(alt.fidelity.at(names[c]) > 0.5)) continue;
+    const std::string name = names[c];
+    if ((alt.plan & (1 << c)) != 0) {
+      f.continuous[util::Symbol(name + "_remote_w")] = words;
+      f.continuous[util::Symbol(name + "_remote_i")] = 1.0;
+    } else {
+      f.continuous[util::Symbol(name + "_local_w")] = words;
+    }
+  }
+}
+
+TEST(PanglossTest, FeatureHookMatchesReference) {
+  // Every placement mask x engine subset (canonical or not, as the solver
+  // enumerates them) on both servers, for the five test sentences. The
+  // hook's output vector is reused across calls, as the client does.
+  predict::FeatureVector got;
+  int compared = 0;
+  for (const int words : {6, 10, 14, 38, 44}) {
+    const predict::FeatureMap params{{"words", static_cast<double>(words)}};
+    for (const hw::MachineId server : {kServerA, kServerB}) {
+      for (int mask = 0; mask < PanglossApp::kPlanCount; ++mask) {
+        for (int engines = 0; engines < 8; ++engines) {
+          solver::Alternative alt;
+          alt.plan = mask;
+          alt.server = mask != 0 ? server : -1;
+          alt.fidelity = {{"ebmt", (engines & 1) != 0 ? 1.0 : 0.0},
+                          {"gloss", (engines & 2) != 0 ? 1.0 : 0.0},
+                          {"dict", (engines & 4) != 0 ? 1.0 : 0.0}};
+          got.discrete.clear();
+          got.continuous.clear();
+          PanglossApp::features(alt, params, got);
+          predict::FeatureVector want;
+          reference_features(alt, params, want);
+          EXPECT_EQ(got, want) << alt.describe();
+          EXPECT_EQ(got.hash(), want.hash()) << alt.describe();
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 5 * 2 * 16 * 8);
+}
+
 TEST(PanglossTest, InvalidInputsRejected) {
   auto w = thinkpad_world();
   EXPECT_THROW(w->pangloss().run_forced(

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
 
 #include "fs/coda.h"
 #include "hw/machine.h"
@@ -261,6 +263,131 @@ TEST(NetworkMonitorTest, SameTickBulkTransfersBothIngested) {
   EXPECT_DOUBLE_EQ(ingested->value(), 2.0);
   EXPECT_GT(obs.metrics().find_counter("monitor.network.refreshes")->value(),
             1.0);
+}
+
+// The refresh before the monitor kept a cursor: re-read every in-window
+// record at each refresh and skip, per peer, the ids already ingested.
+struct FullScanReference {
+  struct Peer {
+    util::Ewma bandwidth{0.5};
+    util::Ewma latency{0.5};
+    std::uint64_t last_ingested_id = 0;
+  };
+  NetworkMonitorConfig cfg;
+  std::map<MachineId, Peer> peers;
+  util::Ewma machine_bw{0.5};
+
+  void refresh(const net::Network& net) {
+    for (const auto& t : net.recent_transfers(kClient, cfg.observation_window)) {
+      Peer& est = peers[(t.from == kClient) ? t.to : t.from];
+      if (t.id <= est.last_ingested_id) continue;
+      est.last_ingested_id = t.id;
+      if (t.bytes <= cfg.small_transfer_max) est.latency.add(t.duration);
+      if (t.bytes >= cfg.bulk_transfer_min && t.duration > 0.0) {
+        const Seconds lat =
+            est.latency.empty() ? cfg.default_latency : est.latency.value();
+        const Seconds payload_time = std::max(t.duration - lat, 1e-6);
+        est.bandwidth.add(t.bytes / payload_time);
+        machine_bw.add(t.bytes / payload_time);
+      }
+    }
+  }
+  BytesPerSec bandwidth(MachineId id) const {
+    auto it = peers.find(id);
+    if (it != peers.end() && !it->second.bandwidth.empty()) {
+      return it->second.bandwidth.value();
+    }
+    return machine_bw.empty() ? cfg.default_bandwidth : machine_bw.value();
+  }
+  Seconds latency(MachineId id) const {
+    auto it = peers.find(id);
+    return it == peers.end() || it->second.latency.empty()
+               ? cfg.default_latency
+               : it->second.latency.value();
+  }
+};
+
+TEST(NetworkMonitorTest, IncrementalRefreshMatchesFullScan) {
+  Fixture f;
+  constexpr MachineId kPeer2 = 2;
+  constexpr MachineId kFast = 3;
+  hw::Machine peer2(f.engine, Fixture::server_spec(), Rng(5));
+  hw::Machine fast(f.engine, Fixture::server_spec(), Rng(6));
+  f.net.add_machine(kPeer2, &peer2);
+  f.net.add_machine(kFast, &fast);
+  f.net.set_link(kClient, kPeer2, {20000.0, 0.05});
+  f.net.set_link(kClient, kFast, {1e9, 1e-5});
+  f.net.set_link(kServer, kPeer2, {80000.0, 0.01});  // not the client's
+  const std::vector<MachineId> peers = {kServer, kFs, kPeer2, kFast};
+
+  // Refreshes happen only when the test asks, at irregular times.
+  NetworkMonitorConfig cfg;
+  cfg.refresh_period = 1e9;
+  auto monitor = std::make_unique<NetworkMonitor>(f.engine, f.net, kClient,
+                                                  cfg);
+  std::unique_ptr<NetworkMonitor> clone;
+  FullScanReference ref;
+  ref.cfg = cfg;
+  obs::Observability obs;
+  monitor->attach(&obs);
+  util::Rng rng(41);
+
+  const auto refresh_and_check = [&](int round) {
+    ResourceSnapshot snap;
+    for (const MachineId p : peers) snap.servers.emplace(p, ServerAvailability{});
+    ref.refresh(f.net);
+    for (NetworkMonitor* m : {monitor.get(), clone.get()}) {
+      if (m == nullptr) continue;
+      m->predict_avail(snap);
+      EXPECT_EQ(m->machine_bandwidth_estimate(),
+                ref.machine_bw.empty() ? 0.0 : ref.machine_bw.value())
+          << round;
+      for (const MachineId p : peers) {
+        EXPECT_EQ(snap.servers.at(p).bandwidth, ref.bandwidth(p)) << round;
+        EXPECT_EQ(snap.servers.at(p).latency, ref.latency(p)) << round;
+        EXPECT_EQ(m->bandwidth_estimate(p), ref.bandwidth(p)) << round;
+        EXPECT_EQ(m->latency_estimate(p), ref.latency(p)) << round;
+      }
+    }
+  };
+  const auto random_transfers = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto pick = rng.uniform_int(0, 4);
+      const double bytes = rng.uniform() < 0.5 ? rng.uniform(50.0, 1000.0)
+                                               : rng.uniform(5000.0, 60000.0);
+      if (pick == 4) {
+        f.net.transfer(kServer, kPeer2, bytes);  // invisible to the client
+      } else if (rng.uniform() < 0.5) {
+        f.net.transfer(kClient, peers[static_cast<std::size_t>(pick)], bytes);
+      } else {
+        f.net.transfer(peers[static_cast<std::size_t>(pick)], kClient, bytes);
+      }
+    }
+  };
+
+  int round = 0;
+  for (; round < 30; ++round) {
+    random_transfers(static_cast<int>(rng.uniform_int(0, 12)));
+    // Sometimes long enough for records to leave the 30-s window before
+    // any refresh sees them.
+    f.engine.advance(rng.uniform() < 0.2 ? rng.uniform(25.0, 45.0)
+                                         : rng.uniform(0.0, 3.0));
+    if (round == 12) {
+      // More transfers between two refreshes than the log keeps (4096).
+      for (int i = 0; i < 5000; ++i) {
+        f.net.transfer(kClient, kFast, i % 2 == 0 ? 200.0 : 9000.0);
+      }
+    }
+    refresh_and_check(round);
+    if (round == 18) {
+      // A clone mid-stream (as World::clone does) continues from the
+      // source's cursor and estimates.
+      clone = std::make_unique<NetworkMonitor>(f.engine, f.net, kClient, cfg);
+      clone->copy_state_from(*monitor);
+    }
+  }
+  EXPECT_GT(obs.metrics().find_counter("monitor.network.ingested")->value(),
+            4096.0);
 }
 
 TEST(NetworkMonitorTest, StartOpResetsCounters) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -30,6 +31,59 @@ TEST(FeatureVectorTest, EmptyDiscreteGivesEmptyKey) {
   FeatureVector f;
   f.continuous["x"] = 3.0;
   EXPECT_EQ(f.bin_key(), "");
+}
+
+TEST(FeatureMapTest, InsertionOrderDoesNotChangeEntriesOrHash) {
+  // Inserts in name order append; any other order binary-searches. The
+  // resulting maps must be indistinguishable.
+  const std::vector<std::string> names = {
+      "dict",         "dict_local_w", "dict_remote_i", "dict_remote_w",
+      "ebmt",         "ebmt_local_w", "gloss",         "gloss_remote_i",
+      "gloss_remote_w", "lm_local_w", "words",         "x"};
+  const auto build = [&](const std::vector<std::size_t>& order) {
+    FeatureMap m;
+    for (const std::size_t i : order) {
+      m[util::Symbol(names[i])] = static_cast<double>(i) + 0.5;
+    }
+    return m;
+  };
+  std::vector<std::size_t> order(names.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const FeatureMap sorted = build(order);
+  std::vector<std::string> sorted_names;
+  for (const auto& e : sorted) sorted_names.emplace_back(e.name.view());
+  EXPECT_EQ(sorted_names, names);
+
+  std::vector<std::vector<std::size_t>> orders = {
+      {order.rbegin(), order.rend()}};
+  util::Rng rng(11);
+  for (int s = 0; s < 8; ++s) {
+    std::vector<std::size_t> shuffled = order;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1],
+                shuffled[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    orders.push_back(shuffled);
+  }
+  for (const auto& o : orders) {
+    const FeatureMap m = build(o);
+    EXPECT_EQ(m, sorted);
+    EXPECT_EQ(m.hash(), sorted.hash());
+    auto a = m.begin();
+    for (auto b = sorted.begin(); b != sorted.end(); ++a, ++b) {
+      ASSERT_NE(a, m.end());
+      EXPECT_EQ(a->name, b->name);
+      EXPECT_EQ(a->value, b->value);
+    }
+    EXPECT_EQ(a, m.end());
+  }
+  // Re-inserting an existing name (the last one included) finds it.
+  FeatureMap m = build(order);
+  m[util::Symbol("x")] = 11.5;
+  m[util::Symbol("dict")] = 0.5;
+  EXPECT_EQ(m, sorted);
+  EXPECT_EQ(m.hash(), sorted.hash());
 }
 
 // ------------------------------------------------------------ RecencyLinear
@@ -145,6 +199,77 @@ TEST_P(LinearRecoveryTest, RecoversSlopeUnderNoise) {
 
 INSTANTIATE_TEST_SUITE_P(Decays, LinearRecoveryTest,
                          ::testing::Values(0.8, 0.9, 0.95, 0.99, 1.0));
+
+TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
+  // A K=3 model and three single-response models see one seeded stream:
+  // an under-identified prefix (the solve fails on too few samples),
+  // features that appear mid-stream (X'X regrows), and a collinear stretch
+  // (c = 2a, b constant) whose normal equations are singular, so only the
+  // ridge keeps the elimination going. The ridge is at least 1e-8 of the
+  // trace, and the intercept alone puts the trace at >= 1, so no finite
+  // history fails the solve's 1e-12 pivot test; the prefix covers the
+  // failed-solve path. Every prediction must be bit-equal.
+  constexpr std::size_t kK = 3;
+  RecencyLinear multi(0.9, kK);
+  std::vector<RecencyLinear> single(kK, RecencyLinear(0.9));
+  util::Rng rng(23);
+  const std::array<std::array<double, 4>, kK> coef = {{
+      {50.0, 3.0, -2.0, 0.5},
+      {-4.0, 0.25, 7.0, -1.0},
+      {1e6, 1e4, 0.0, 3e5},
+  }};
+  const std::vector<FeatureMap> queries = {
+      {},
+      {{"a", 2.0}},
+      {{"b", 1.5}},
+      {{"a", 1.0}, {"b", 3.0}, {"c", 2.0}},
+      {{"a", 40.0}, {"b", -3.0}, {"c", 0.1}},
+      {{"a", 1.0}, {"z", 9.0}},
+  };
+  const auto check = [&](int step) {
+    EXPECT_EQ(multi.total_weight(), single[0].total_weight()) << step;
+    EXPECT_EQ(multi.identifiable(), single[0].identifiable()) << step;
+    for (const auto& q : queries) {
+      double got[kK];
+      multi.predict(q, got);
+      for (std::size_t k = 0; k < kK; ++k) {
+        EXPECT_EQ(got[k], single[k].predict(q)) << "step " << step << " k "
+                                                << k;
+      }
+    }
+  };
+  const auto feed = [&](const FeatureMap& x, int step) {
+    double y[kK];
+    for (std::size_t k = 0; k < kK; ++k) {
+      const double a = x.find("a") ? *x.find("a") : 0.0;
+      const double b = x.find("b") ? *x.find("b") : 0.0;
+      const double c = x.find("c") ? *x.find("c") : 0.0;
+      y[k] = (coef[k][0] + coef[k][1] * a + coef[k][2] * b +
+              coef[k][3] * c) *
+             rng.noise_factor(0.1);
+      single[k].add(x, y[k]);
+    }
+    multi.add(x, y);
+    check(step);
+  };
+  int step = 0;
+  for (int i = 0; i < 3; ++i) feed({{"b", rng.uniform(0.0, 4.0)}}, step++);
+  for (int i = 0; i < 4; ++i) {
+    feed({{"a", rng.uniform(0.0, 9.0)}, {"b", rng.uniform(0.0, 4.0)}},
+         step++);
+  }
+  for (int i = 0; i < 12; ++i) {
+    const double a = rng.uniform(0.0, 9.0);
+    feed({{"a", a}, {"b", 2.0}, {"c", 2.0 * a}}, step++);
+  }
+  for (int i = 0; i < 10; ++i) {
+    feed({{"a", rng.uniform(0.0, 9.0)},
+          {"b", rng.uniform(0.0, 4.0)},
+          {"c", rng.uniform(0.0, 9.0)}},
+         step++);
+  }
+  for (int i = 0; i < 6; ++i) feed({{"b", rng.uniform(0.0, 4.0)}}, step++);
+}
 
 // --------------------------------------------------------------------- LRU
 
@@ -461,6 +586,112 @@ TEST(UsageLogTest, FromUsageMergesLocalAndRemoteAccesses) {
 }
 
 // ------------------------------------------------------------ OperationModel
+
+// The OperationModel before its metrics were grouped into sample streams:
+// one single-response predictor per metric, each fed on its own.
+struct PerMetricModel {
+  NumericPredictor local_cycles, remote_cycles, bytes_sent, bytes_received,
+      rpcs, energy;
+  FileAccessPredictor files;
+
+  void observe(const FeatureVector& f, const monitor::OperationUsage& u) {
+    const UsageRecord r = UsageRecord::from_usage("", f, u);
+    local_cycles.add(r.features, r.local_cycles);
+    remote_cycles.add(r.features, r.remote_cycles);
+    bytes_sent.add(r.features, r.bytes_sent);
+    bytes_received.add(r.features, r.bytes_received);
+    rpcs.add(r.features, r.rpcs);
+    if (r.energy_valid) energy.add(r.features, r.energy);
+    files.add(r.features, r.file_accesses);
+  }
+  void observe_failure(const FeatureVector& f,
+                       const monitor::OperationUsage& partial) {
+    bytes_sent.add(f, partial.bytes_sent);
+    bytes_received.add(f, partial.bytes_received);
+    rpcs.add(f, partial.rpcs);
+  }
+  void predict(const FeatureVector& f, DemandEstimate& e) const {
+    const auto metric = [&f](const NumericPredictor& p) {
+      return p.trained() ? p.predict(f) : 0.0;
+    };
+    e.local_cycles = metric(local_cycles);
+    e.remote_cycles = metric(remote_cycles);
+    e.bytes_sent = metric(bytes_sent);
+    e.bytes_received = metric(bytes_received);
+    e.rpcs = metric(rpcs);
+    e.energy = metric(energy);
+    e.has_energy = energy.trained();
+    files.predict(f, e.files);
+  }
+  bool trained() const { return local_cycles.trained(); }
+};
+
+TEST(OperationModelTest, StreamsMatchPerMetricReference) {
+  OperationModel model;
+  PerMetricModel ref;
+  util::Rng rng(31);
+  // More data tags than the LRU holds (8), so per-document model sets are
+  // evicted and re-created; plans give bins; "words" appears mid-stream.
+  const auto features = [&](int step) {
+    FeatureVector f;
+    f.discrete["plan"] = static_cast<double>(rng.uniform_int(0, 2));
+    f.continuous["len"] = rng.uniform(1.0, 8.0);
+    if (step > 40) f.continuous["words"] = rng.uniform(1.0, 40.0);
+    const auto tag = rng.uniform_int(0, 11);
+    if (tag < 10) f.data_tag = "doc" + std::to_string(tag);
+    return f;
+  };
+  std::vector<FeatureVector> queries;
+  for (int i = 0; i < 14; ++i) queries.push_back(features(i * 5));
+  const auto check = [&](int step) {
+    EXPECT_EQ(model.trained(), ref.trained()) << step;
+    for (const auto& q : queries) {
+      DemandEstimate got, want;
+      model.predict(q, got);
+      ref.predict(q, want);
+      EXPECT_EQ(got.local_cycles, want.local_cycles) << step;
+      EXPECT_EQ(got.remote_cycles, want.remote_cycles) << step;
+      EXPECT_EQ(got.bytes_sent, want.bytes_sent) << step;
+      EXPECT_EQ(got.bytes_received, want.bytes_received) << step;
+      EXPECT_EQ(got.rpcs, want.rpcs) << step;
+      EXPECT_EQ(got.energy, want.energy) << step;
+      EXPECT_EQ(got.has_energy, want.has_energy) << step;
+      ASSERT_EQ(got.files.size(), want.files.size()) << step;
+      for (std::size_t i = 0; i < got.files.size(); ++i) {
+        EXPECT_EQ(got.files[i].path, want.files[i].path) << step;
+        EXPECT_EQ(got.files[i].size, want.files[i].size) << step;
+        EXPECT_EQ(got.files[i].likelihood, want.files[i].likelihood)
+            << step;
+      }
+    }
+  };
+  check(-1);
+  for (int step = 0; step < 160; ++step) {
+    const FeatureVector f = features(step);
+    monitor::OperationUsage u;
+    u.local_cycles = 1e6 * (1.0 + f.continuous.at("len")) *
+                     rng.noise_factor(0.1);
+    u.remote_cycles = step % 3 == 0 ? 0.0 : 4e6 * rng.uniform(0.5, 1.5);
+    u.bytes_sent = 100.0 * rng.uniform(1.0, 9.0);
+    u.bytes_received = 800.0 * rng.uniform(0.0, 3.0);
+    u.rpcs = static_cast<int>(rng.uniform_int(0, 4));
+    u.energy = rng.uniform(0.1, 5.0);
+    // The first samples have no valid energy: the energy stream starts
+    // later than the cycle stream.
+    u.energy_valid = step >= 6 && rng.uniform() > 0.25;
+    if (step % 2 == 0) u.local_file_accesses = {acc("f", 10.0 + step)};
+    // Failed remote attempts feed the transport stream alone, and come
+    // first, so transport is trained before cycles are.
+    if (step < 3 || rng.uniform() < 0.2) {
+      model.observe_failure(f, u);
+      ref.observe_failure(f, u);
+    } else {
+      model.observe(f, u);
+      ref.observe(f, u);
+    }
+    check(step);
+  }
+}
 
 TEST(OperationModelTest, ObserveAndPredictAllMetrics) {
   OperationModel m;
