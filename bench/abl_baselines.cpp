@@ -26,7 +26,7 @@ using apps::JanusApp;
 double utility_of(const MeasuredRun& run, const solver::Alternative& alt,
                   double c) {
   if (!run.feasible) return 0.0;
-  const double fid = alt.fidelity.at("vocab") >= 1.0 ? 1.0 : 0.5;
+  const double fid = alt.fidelity[JanusApp::kVocab] >= 1.0 ? 1.0 : 0.5;
   double u = fid / run.time;
   if (c > 0.0) u *= std::pow(1.0 / std::max(run.energy, 1e-6), c);
   return u;

@@ -53,7 +53,8 @@ SweepPoint sweep_point(scenario::BatchRunner& batch,
     try {
       const auto usage =
           world->janus().run_forced(world->spectra(), 2.0, alt);
-      const double fid = alt.fidelity.at("vocab") >= 1.0 ? 1.0 : 0.5;
+      const double fid =
+          alt.fidelity[apps::JanusApp::kVocab] >= 1.0 ? 1.0 : 0.5;
       r.feasible = true;
       r.utility = fid / usage.elapsed;
       r.time = usage.elapsed;

@@ -41,12 +41,10 @@ EvalFn make_utility(std::uint64_t seed, const AlternativeSpace& space) {
   const double interact = rng.uniform(-0.3, 0.3);
   return [=](const Alternative& a) {
     double u = wp * a.plan + ws * a.server;
-    std::size_t i = 0;
     double fsum = 0.0;
-    for (const auto& [k, v] : a.fidelity) {
-      (void)k;
-      u += wf[i++] * v;
-      fsum += v;
+    for (std::size_t i = 0; i < a.fidelity.size(); ++i) {
+      u += wf[i] * a.fidelity[i];
+      fsum += a.fidelity[i];
     }
     u += interact * fsum * (a.plan % 3);
     return u;

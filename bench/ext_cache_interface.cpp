@@ -36,7 +36,7 @@ double cache_prediction_ms(bool incremental, std::size_t files) {
   desc.name = "noop";
   desc.plans = {{"local", false}};
   desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
+  desc.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   world.spectra().register_fidelity(desc);
   for (std::size_t i = 0; i < files; ++i) {
     const std::string path = "full/f" + std::to_string(i);

@@ -135,7 +135,7 @@ std::unique_ptr<World> nullop_world(std::size_t servers) {
   for (int i = 0; i < 16; ++i) {
     solver::Alternative local;
     local.plan = 0;
-    local.fidelity["level"] = 1.0;
+    local.fidelity = {1.0};  // level
     world->spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
     NullOp::execute(*world);
     world->spectra().end_fidelity_op();
@@ -228,12 +228,17 @@ std::vector<ComponentResult> run_components(int reps) {
   return {
       time_component("predictor_add", kOps, reps,
                      [&](int i) {
+                       const double y = rng.uniform(0, 1e9);
                        predictor.add(
                            component_features(i % 3, rng.uniform(1.0, 4.0)),
-                           rng.uniform(0, 1e9));
+                           &y);
                      }),
       time_component("predictor_query", kOps, reps,
-                     [&](int) { sink = predictor.predict(query); }),
+                     [&](int) {
+                       double y = 0.0;
+                       predictor.predict(query, &y);
+                       sink = y;
+                     }),
       time_component("operation_model_observe", kOps, reps, [&](int i) {
         model.observe(component_features(i % 3, 1.0 + (i % 5)), usage);
       })};

@@ -76,7 +76,7 @@ int main() {
   op.name = "filter";
   op.plans = {{"local", false}, {"remote", true}};
   op.latency_fn = solver::inverse_latency();
-  op.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
+  op.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   w.spectra().register_fidelity(op);
 
   std::cout << "Before discovery (no servers known):\n";

@@ -104,7 +104,7 @@ int main() {
               {"remote", /*uses_remote=*/true}};
   op.input_params = {"megapixels"};
   op.latency_fn = solver::inverse_latency();
-  op.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
+  op.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   spectra.register_fidelity(op);
 
   // ---- 3 & 4. run operations; Spectra learns and adapts ------------------

@@ -29,8 +29,9 @@ void recognize(World& world, double seconds) {
   static const char* kPlans[] = {"local", "hybrid", "remote"};
   std::cout << "    recognize(" << seconds
             << "s): " << kPlans[choice.alternative.plan] << "/"
-            << (choice.alternative.fidelity.at("vocab") >= 1.0 ? "full"
-                                                               : "reduced")
+            << (choice.alternative.fidelity[apps::JanusApp::kVocab] >= 1.0
+                    ? "full"
+                    : "reduced")
             << "  time=" << util::Table::num(usage.elapsed, 2)
             << "s  energy=" << util::Table::num(usage.energy, 2)
             << "J  c=" << util::Table::num(

@@ -31,7 +31,7 @@ void recognize(World& world, double seconds) {
   const auto usage = spectra.end_fidelity_op();
   std::cout << "  \"" << seconds << "s utterance\" -> "
             << plan_name(choice.alternative.plan) << " plan, "
-            << (choice.alternative.fidelity.at("vocab") >= 1.0
+            << (choice.alternative.fidelity[apps::JanusApp::kVocab] >= 1.0
                     ? "full"
                     : "reduced")
             << " vocabulary: " << util::Table::num(usage.elapsed, 2)

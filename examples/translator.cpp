@@ -25,9 +25,8 @@ void translate(World& world, int words) {
       {{"words", static_cast<double>(words)}});
   world.pangloss().execute(spectra, words);
   const auto usage = spectra.end_fidelity_op();
-  const auto& f = choice.alternative.fidelity;
-  const double fidelity = 0.5 * f.at("ebmt") + 0.3 * f.at("gloss") +
-                          0.2 * f.at("dict");
+  const double fidelity = apps::PanglossApp::fidelity_desirability(
+      world.pangloss().config(), choice.alternative.fidelity);
   std::cout << "  " << words << "-word sentence -> "
             << PanglossExperiment::label(choice.alternative)
             << "  (fidelity " << fidelity << ", "

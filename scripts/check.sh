@@ -253,15 +253,23 @@ echo "== sanitize smoke (address) =="
 # the flat X'X regrowth and the multi-response index arithmetic,
 # monitor_test the network monitor's refresh cursor, and golden_trace_test
 # whole Pangloss, speech and Latex decisions against their goldens.
+# solver_test, apps_test, core_test and integration_test run the indexed
+# fidelity settings through the space, the solver, the apps' hooks, the
+# client's one candidate evaluator and its forced-alternative check.
 SMOKE="$BUILD-asan"
 cmake -B "$SMOKE" -S . -DSPECTRA_SANITIZE=address >/dev/null
 cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test \
-    predict_test monitor_test golden_trace_test spectra
+    predict_test monitor_test golden_trace_test solver_test apps_test \
+    core_test integration_test spectra
 "$SMOKE/tests/obs_test"
 "$SMOKE/tests/fleet_test"
 "$SMOKE/tests/predict_test"
 "$SMOKE/tests/monitor_test"
 "$SMOKE/tests/golden_trace_test"
+"$SMOKE/tests/solver_test"
+"$SMOKE/tests/apps_test"
+"$SMOKE/tests/core_test"
+"$SMOKE/tests/integration_test"
 "$SMOKE/src/cli/spectra" scenarios >/dev/null
 # 10k-client multi-island fleet under ASan: the SoA client store, the
 # per-island tick arenas, and the admission cookie/metadata slot reuse at

@@ -81,26 +81,22 @@ void JanusApp::register_op(core::SpectraClient& client) const {
   desc.fidelities = {{"vocab", {kVocabReduced, kVocabFull}}};
   desc.input_params = {"utt_len"};
   desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>& f) {
-    return f.at("vocab") >= kVocabFull ? 1.0 : 0.5;
+  desc.fidelity_fn = [](const std::vector<double>& f) {
+    return f[kVocab] >= kVocabFull ? 1.0 : 0.5;
   };
   client.register_fidelity(std::move(desc));
 }
 
 solver::Alternative JanusApp::alternative(int plan, double vocab,
                                           hw::MachineId server) {
-  solver::Alternative a;
-  a.plan = plan;
-  a.server = plan == kPlanLocal ? -1 : server;
-  a.fidelity["vocab"] = vocab;
-  return a;
+  return {plan, plan == kPlanLocal ? -1 : server, {vocab}};
 }
 
 void JanusApp::execute(core::SpectraClient& client,
                        double utterance_seconds) const {
   SPECTRA_REQUIRE(utterance_seconds > 0.0, "utterance must have length");
   const solver::Alternative& alt = client.current_choice().alternative;
-  const double vocab = alt.fidelity.at("vocab");
+  const double vocab = alt.fidelity[kVocab];
 
   rpc::Request req;
   req.args["utt_len"] = utterance_seconds;

@@ -58,6 +58,7 @@ class JanusApp {
   static constexpr int kPlanLocal = 0;
   static constexpr int kPlanHybrid = 1;
   static constexpr int kPlanRemote = 2;
+  static constexpr std::size_t kVocab = 0;  // the fidelity dimension's index
   static constexpr double kVocabReduced = 0.0;
   static constexpr double kVocabFull = 1.0;
 

@@ -88,7 +88,7 @@ void LatexApp::register_op(core::SpectraClient& client) const {
   desc.fidelities = {};  // Latex has a single fidelity (§3.7.2)
   desc.input_params = {};
   desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
+  desc.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   client.register_fidelity(std::move(desc));
 }
 

@@ -10,10 +10,9 @@ namespace {
 const std::array<const char*, 4> kComponentNames = {"ebmt", "gloss", "dict",
                                                     "lm"};
 
-// Names of one component, built and interned once per process: the solver
+// Feature names of one component, interned once per process: the solver
 // maps every candidate, so no name may be built or looked up per call.
 struct ComponentFeatures {
-  std::string key;        // the engine's fidelity-map key (engines only)
   util::Symbol engine;    // discrete: fidelity flag (engines only)
   util::Symbol local_w;   // words, component runs locally
   util::Symbol remote_w;  // words, component runs remotely
@@ -25,7 +24,7 @@ const std::array<ComponentFeatures, 4>& component_features() {
     std::array<ComponentFeatures, 4> out;
     for (std::size_t c = 0; c < out.size(); ++c) {
       const std::string name = kComponentNames[c];
-      out[c] = {name, util::Symbol(name), util::Symbol(name + "_local_w"),
+      out[c] = {util::Symbol(name), util::Symbol(name + "_local_w"),
                 util::Symbol(name + "_remote_w"),
                 util::Symbol(name + "_remote_i")};
     }
@@ -81,8 +80,7 @@ void PanglossApp::install_services(core::SpectraServer& server,
 }
 
 bool PanglossApp::component_enabled(const solver::Alternative& alt, int c) {
-  if (c == kLm) return true;  // the language modeler always runs
-  return alt.fidelity.at(component_features()[c].key) > 0.5;
+  return c == kLm || alt.fidelity[c] > 0.5;  // the modeler always runs
 }
 
 bool PanglossApp::component_remote(const solver::Alternative& alt, int c) {
@@ -94,16 +92,22 @@ solver::Alternative PanglossApp::alternative(int remote_mask, bool ebmt,
                                              hw::MachineId server) {
   SPECTRA_REQUIRE(remote_mask >= 0 && remote_mask < kPlanCount,
                   "placement mask out of range");
-  solver::Alternative a;
-  a.plan = remote_mask;
-  a.server = remote_mask != 0 ? server : -1;
-  a.fidelity["ebmt"] = ebmt ? 1.0 : 0.0;
-  a.fidelity["gloss"] = gloss ? 1.0 : 0.0;
-  a.fidelity["dict"] = dict ? 1.0 : 0.0;
-  return canonical(a);
+  return canonical({remote_mask, remote_mask != 0 ? server : -1,
+                    {ebmt ? 1.0 : 0.0, gloss ? 1.0 : 0.0, dict ? 1.0 : 0.0}});
+}
+
+double PanglossApp::fidelity_desirability(const PanglossConfig& cfg,
+                                          const std::vector<double>& f) {
+  double total = 0.0;  // 0 (no engines) => infeasible
+  for (int c = kEbmt; c <= kDict; ++c) {
+    total += f[c] * cfg.components[c].fidelity;
+  }
+  return total;
 }
 
 solver::Alternative PanglossApp::canonical(const solver::Alternative& alt) {
+  SPECTRA_REQUIRE(alt.fidelity.size() == kLm,
+                  "a pangloss alternative sets one flag per engine");
   solver::Alternative c = alt;
   for (int i = 0; i < kLm; ++i) {
     if (!component_enabled(alt, i)) c.plan &= ~(1 << i);
@@ -118,19 +122,15 @@ void PanglossApp::features(const solver::Alternative& alt,
   static const util::Symbol kWords("words");
   const auto& names = component_features();
   const double words = params.at(kWords);
-  // Each engine's fidelity flag, read once.
-  std::array<double, 4> flag{};
-  for (int c = 0; c < kLm; ++c) flag[c] = alt.fidelity.at(names[c].key);
-  flag[kLm] = 1.0;  // the language modeler always runs
   // Discrete: the fidelity subset only — the file predictor needs to know
   // which engines (and hence which data files) are in play, while demand is
   // generalized across placements by the continuous features below. Both
   // maps are filled in name order, so every insert appends.
   for (const int c : kNameOrder) {
-    if (c != kLm) f.discrete[names[c].engine] = flag[c];
+    if (c != kLm) f.discrete[names[c].engine] = alt.fidelity[c];
   }
   for (const int c : kNameOrder) {
-    if (!(flag[c] > 0.5)) continue;  // engine disabled
+    if (!component_enabled(alt, c)) continue;
     if (component_remote(alt, c)) {
       f.continuous[names[c].remote_i] = 1.0;
       f.continuous[names[c].remote_w] = words;
@@ -151,13 +151,8 @@ void PanglossApp::register_op(core::SpectraClient& client) const {
   desc.input_params = {"words"};
   const PanglossConfig cfg = config_;
   desc.latency_fn = solver::deadline_latency(cfg.deadline_lo, cfg.deadline_hi);
-  desc.fidelity_fn = [cfg](const std::map<std::string, double>& f) {
-    const auto& names = component_features();
-    double total = 0.0;
-    total += f.at(names[kEbmt].key) * cfg.components[kEbmt].fidelity;
-    total += f.at(names[kGloss].key) * cfg.components[kGloss].fidelity;
-    total += f.at(names[kDict].key) * cfg.components[kDict].fidelity;
-    return total;  // 0 (no engines) => infeasible
+  desc.fidelity_fn = [cfg](const std::vector<double>& f) {
+    return fidelity_desirability(cfg, f);
   };
   desc.feature_fn = &PanglossApp::features;
   client.register_fidelity(std::move(desc));

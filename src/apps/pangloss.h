@@ -81,10 +81,16 @@ class PanglossApp {
   void register_op(core::SpectraClient& client) const;
 
   // Build an alternative: `remote_mask` bit i places component i on
-  // `server`; engine flags enable EBMT/glossary/dictionary.
+  // `server`; engine flags enable EBMT/glossary/dictionary, and the
+  // fidelity setting holds them at kEbmt, kGloss, kDict.
   static solver::Alternative alternative(int remote_mask, bool ebmt,
                                          bool gloss, bool dict,
                                          hw::MachineId server = -1);
+
+  // Fidelity desirability: the enabled engines' fidelities, summed (the
+  // registered fidelity function and the experiments' achieved utility).
+  static double fidelity_desirability(const PanglossConfig& cfg,
+                                      const std::vector<double>& fidelity);
 
   // Zero the placement bits of disabled engines, collapsing behaviourally
   // identical alternatives (used to dedupe oracle enumeration).

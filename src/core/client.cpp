@@ -26,6 +26,16 @@ util::Bytes total_dirty_bytes(const fs::CodaClient& coda) {
   for (const auto& f : coda.dirty_files()) total += f.size;
   return total;
 }
+
+// Refuses an alternative that does not fit the operation's registration.
+void check_alternative(const OperationDesc& desc,
+                       const solver::Alternative& alt) {
+  SPECTRA_REQUIRE(
+      alt.plan >= 0 && alt.plan < static_cast<int>(desc.plans.size()),
+      "plan index out of range");
+  SPECTRA_REQUIRE(alt.fidelity.size() == desc.fidelities.size(),
+                  "alternative needs one value per fidelity dimension");
+}
 }  // namespace
 
 SpectraClient::SpectraClient(MachineId id, sim::Engine& engine,
@@ -64,8 +74,9 @@ SpectraClient::SpectraClient(MachineId id, sim::Engine& engine,
   monitors_.add(std::move(cpu));
   monitors_.add(std::move(net));
   monitors_.add(std::move(battery));
-  monitors_.add(std::make_unique<monitor::FileCacheMonitor>(
-      coda, config_.incremental_cache_interface));
+  file_cache_monitor_ =
+      monitors_.add(std::make_unique<monitor::FileCacheMonitor>(
+          coda, config_.incremental_cache_interface));
   monitors_.add(std::make_unique<monitor::RemoteCpuProxy>(engine));
   monitors_.add(std::make_unique<monitor::RemoteCacheProxy>(engine));
 
@@ -117,12 +128,12 @@ std::string DecisionTrace::to_string(std::size_t max_rows) const {
   for (const auto* e : sorted) {
     if (shown++ >= max_rows) break;
     if (!e->feasible) {
-      table.add_row({e->alternative.describe(), "infeasible", "-", "-", "-",
-                     "-", "-", "-", "-",
+      table.add_row({e->alternative.describe(fidelity_names), "infeasible",
+                     "-", "-", "-", "-", "-", "-", "-",
                      e->alternative == chosen ? "<== chosen" : ""});
       continue;
     }
-    table.add_row({e->alternative.describe(),
+    table.add_row({e->alternative.describe(fidelity_names),
                    util::Table::num(e->log_utility, 3),
                    util::Table::num(e->predicted.time, 3),
                    util::Table::num(e->breakdown.local_cpu, 2),
@@ -172,14 +183,12 @@ void SpectraClient::register_fidelity(OperationDesc desc) {
   machine_.run_cycles(config_.register_cycles);
 
   RegisteredOp op{desc, predict::OperationModel(config_.model), nullptr, 0,
-                  {}};
+                  {desc.plans, {}, desc.fidelities},
+                  solver::FidelityNames(desc.fidelities)};
   op.utility = desc.utility != nullptr
                    ? desc.utility
                    : std::make_shared<solver::DefaultUtility>(
                          desc.latency_fn, desc.fidelity_fn);
-  for (const auto& dim : desc.fidelities) {
-    op.fidelity_names.emplace_back(dim.name);
-  }
   // Bootstrap the models from the persistent usage log (§3.4).
   for (const auto& record : usage_log_.for_operation(desc.name)) {
     op.model.replay(record);
@@ -206,14 +215,8 @@ void SpectraClient::make_features(const RegisteredOp& op,
   static const util::Symbol kServer("server");
   out.discrete[kPlan] = static_cast<double>(alt.plan);
   if (alt.server >= 0) out.discrete[kServer] = static_cast<double>(alt.server);
-  for (const auto& [name, value] : alt.fidelity) {
-    const auto known = std::find_if(
-        op.fidelity_names.begin(), op.fidelity_names.end(),
-        [&name](util::Symbol s) { return s.view() == name; });
-    // Only a forced alternative naming an unregistered knob interns here.
-    out.discrete[known != op.fidelity_names.end() ? *known
-                                                  : util::Symbol(name)] =
-        value;
+  for (std::size_t d = 0; d < alt.fidelity.size(); ++d) {
+    out.discrete[op.fidelity_names[d]] = alt.fidelity[d];
   }
   out.continuous = params;
 }
@@ -241,6 +244,30 @@ const predict::DemandEstimate& SpectraClient::cached_demand(
   return e.demand;
 }
 
+double SpectraClient::evaluate(const RegisteredOp& op,
+                               const solver::Alternative& alt,
+                               const predict::FeatureMap& params,
+                               util::Symbol data_tag,
+                               const solver::EstimatorInputs& inputs) {
+  Candidate& c = candidate_;
+  make_features(op, alt, params, data_tag, c.features);
+  c.breakdown = {};
+  c.feasible = estimator_.estimate(inputs, op.space, alt,
+                                   cached_demand(op.model, c.features),
+                                   c.metrics, &c.breakdown);
+  if (!c.feasible) return solver::kInfeasible;
+  // Health feedback into the placement decision: a suspected or failing
+  // server's predicted time is inflated, so the solver avoids it unless
+  // it is decisively better. Exactly 1.0 for healthy servers, keeping
+  // fault-free decisions bit-identical.
+  if (alt.server >= 0 && alt.server != id_) {
+    const double pf = health_.penalty_factor(alt.server);
+    if (pf != 1.0) c.metrics.time *= pf;
+  }
+  return op.utility->log_utility(c.metrics,
+                                 inputs.snapshot->energy_importance);
+}
+
 OperationChoice SpectraClient::choose(RegisteredOp& op,
                                       const predict::FeatureMap& params,
                                       util::Symbol data_tag) {
@@ -250,17 +277,16 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
 
   machine_.run_cycles(config_.begin_base_cycles);
 
-  const std::vector<MachineId> candidates = server_db_.available_servers();
+  op.space.servers = server_db_.available_servers();
+  const std::vector<MachineId>& candidates = op.space.servers;
   choice.candidate_servers = candidates.size();
   machine_.run_cycles(config_.per_candidate_cycles *
                       static_cast<double>(candidates.size()));
 
   // Exploration phase: round-robin over the space until enough history
   // exists for the models to be meaningful.
-  solver::AlternativeSpace space{op.desc.plans, candidates,
-                                 op.desc.fidelities};
   if (op.model.observations() < config_.exploration_runs) {
-    const auto alternatives = space.enumerate();
+    const auto alternatives = op.space.enumerate();
     // Skip alternatives that need an unavailable server.
     std::vector<solver::Alternative> feasible;
     for (const auto& a : alternatives) {
@@ -290,7 +316,8 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
           .field("plan", op.desc.plans[choice.alternative.plan].name)
           .field("plan_index", choice.alternative.plan)
           .field("server", choice.alternative.server)
-          .field("fidelity", choice.alternative.fidelity)
+          .field("fidelity",
+                 fidelity_map(op.desc.name, choice.alternative.fidelity))
           .field("virtual_decision_s", choice.virtual_decision_time);
       config_.obs->trace()->emit(ev);
     }
@@ -304,11 +331,8 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
       monitors_.build_snapshot(candidates, engine_.now());
   const double wall_snap1 = wall_now();
   if (m_snapshots_ != nullptr) m_snapshots_->add();
-  {
-    auto it = monitors_.last_predict_wall_times().find("file_cache");
-    choice.wall_cache_prediction =
-        it != monitors_.last_predict_wall_times().end() ? it->second : 0.0;
-  }
+  choice.wall_cache_prediction =
+      monitors_.last_predict_wall_times()[file_cache_monitor_];
 
   solver::EstimatorInputs inputs;
   inputs.snapshot = &snapshot;
@@ -320,39 +344,21 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
   DecisionTrace trace;
   if (config_.trace_decisions) {
     trace.operation = op.desc.name;
+    trace.fidelity_names = op.fidelity_names;
     trace.taken_at = engine_.now();
     trace.energy_importance = snapshot.energy_importance;
   }
 
   clear_demand_cache();
-  // One scratch feature vector and one scratch metrics per decision: once
-  // they have held the largest candidate, evaluating another allocates
-  // nothing and looks up no interned string.
-  predict::FeatureVector features;
-  solver::UserMetrics metrics;
+  Candidate& c = candidate_;
   const auto eval = [&](const solver::Alternative& alt) {
-    make_features(op, alt, params, data_tag, features);
-    const predict::DemandEstimate& demand = cached_demand(op.model, features);
-    solver::TimeBreakdown tb;
-    const bool feasible =
-        estimator_.estimate(inputs, space, alt, demand, metrics, &tb);
-    // Health feedback into the placement decision: a suspected or failing
-    // server's predicted time is inflated, so the solver avoids it unless
-    // it is decisively better. Exactly 1.0 for healthy servers, keeping
-    // fault-free decisions bit-identical.
-    if (feasible && alt.server >= 0 && alt.server != id_) {
-      const double pf = health_.penalty_factor(alt.server);
-      if (pf != 1.0) metrics.time *= pf;
-    }
-    const double lu =
-        feasible ? op.utility->log_utility(metrics, snapshot.energy_importance)
-                 : solver::kInfeasible;
+    const double lu = evaluate(op, alt, params, data_tag, inputs);
     if (config_.trace_decisions) {
       DecisionTraceEntry entry;
       entry.alternative = alt;
-      entry.feasible = feasible;
-      if (feasible) entry.predicted = metrics;
-      entry.breakdown = tb;
+      entry.feasible = c.feasible;
+      if (c.feasible) entry.predicted = c.metrics;
+      entry.breakdown = c.breakdown;
       entry.log_utility = lu;
       trace.entries.push_back(std::move(entry));
     }
@@ -360,7 +366,7 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
   };
 
   const double wall_solve0 = wall_now();
-  solver::SolveResult result = solver_.solve(space, eval);
+  solver::SolveResult result = solver_.solve(op.space, eval);
   const double wall_solve1 = wall_now();
   machine_.run_cycles(config_.per_eval_cycles *
                       static_cast<double>(result.evaluations));
@@ -369,7 +375,7 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
   if (!result.found) {
     // Everything infeasible (e.g. candidate servers lost mid-decision):
     // fall back to the first local plan at the first fidelity setting.
-    for (const auto& a : space.enumerate()) {
+    for (const auto& a : op.space.enumerate()) {
       if (a.server < 0) {
         choice.ok = true;
         choice.from_model = false;
@@ -387,14 +393,17 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
     choice.log_utility = result.log_utility;
     choice.evaluations = result.evaluations;
     choice.memo_hits = result.memo_hits;
-    // Recompute the winner's metrics for reporting (the demand comes from
-    // the per-solve cache — the solver already priced this alternative).
-    make_features(op, result.best, params, data_tag, features);
-    const predict::DemandEstimate& demand = cached_demand(op.model, features);
-    have_winner_metrics =
-        estimator_.estimate(inputs, space, result.best, demand,
-                            choice.predicted, &choice.predicted_breakdown);
-    choice.predicted_demand = demand;
+    // Re-price the winner for reporting (the demand comes from the
+    // per-solve cache — the solver already priced this alternative). The
+    // reported time is the estimate, without the health penalty.
+    evaluate(op, result.best, params, data_tag, inputs);
+    have_winner_metrics = c.feasible;
+    if (c.feasible) {
+      choice.predicted = c.metrics;
+      choice.predicted.time = c.breakdown.total();
+      choice.predicted_breakdown = c.breakdown;
+    }
+    choice.predicted_demand = cached_demand(op.model, c.features);
     choice.has_predicted_demand = true;
   }
 
@@ -423,7 +432,8 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
         .field("plan", op.desc.plans[choice.alternative.plan].name)
         .field("plan_index", choice.alternative.plan)
         .field("server", choice.alternative.server)
-        .field("fidelity", choice.alternative.fidelity)
+        .field("fidelity",
+               fidelity_map(op.desc.name, choice.alternative.fidelity))
         .field("energy_importance", snapshot.energy_importance);
     if (have_winner_metrics) {
       const solver::UtilityTerms terms = op.utility->log_utility_terms(
@@ -446,7 +456,8 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
     last_trace_ = std::move(trace);
   }
   SPECTRA_LOG_INFO("client")
-      << op.desc.name << ": chose " << choice.alternative.describe()
+      << op.desc.name << ": chose "
+      << choice.alternative.describe(op.fidelity_names)
       << " (predicted " << choice.predicted.time << " s, evaluated "
       << choice.evaluations << " alternatives)";
   return choice;
@@ -565,10 +576,7 @@ OperationChoice SpectraClient::begin_fidelity_op_forced(
     const std::string& data_tag, const solver::Alternative& alternative) {
   SPECTRA_REQUIRE(!active_, "an operation is already in progress");
   RegisteredOp& op = registered(op_name);
-  SPECTRA_REQUIRE(alternative.plan >= 0 &&
-                      alternative.plan <
-                          static_cast<int>(op.desc.plans.size()),
-                  "forced plan index out of range");
+  check_alternative(op.desc, alternative);
   OperationChoice choice;
   choice.ok = true;
   choice.from_model = false;
@@ -677,26 +685,16 @@ std::vector<MachineId> SpectraClient::rank_failover_candidates(
       network_monitor_->bandwidth_estimate(coda_.file_server_host());
   inputs.reintegration_threshold = config_.reintegration_threshold;
 
-  solver::AlternativeSpace space{op.desc.plans, survivors,
-                                 op.desc.fidelities};
+  op.space.servers = survivors;
   std::vector<std::pair<double, MachineId>> scored;
   // Fresh per-solve demand cache: the model may have trained since the
   // original decision, so stale entries must not leak in.
   clear_demand_cache();
   solver::Alternative alt = active_->choice.alternative;
-  predict::FeatureVector features;
-  solver::UserMetrics metrics;
   for (MachineId sid : survivors) {
     alt.server = sid;
-    make_features(op, alt, active_->params, active_->data_tag, features);
-    const predict::DemandEstimate& demand = cached_demand(op.model, features);
-    double lu = solver::kInfeasible;
-    if (estimator_.estimate(inputs, space, alt, demand, metrics)) {
-      const double pf = health_.penalty_factor(sid);
-      if (pf != 1.0) metrics.time *= pf;
-      lu = op.utility->log_utility(metrics, snapshot.energy_importance);
-    }
-    scored.emplace_back(lu, sid);
+    scored.emplace_back(
+        evaluate(op, alt, active_->params, active_->data_tag, inputs), sid);
   }
   machine_.run_cycles(config_.per_eval_cycles *
                       static_cast<double>(scored.size()));
@@ -918,6 +916,15 @@ const OperationChoice& SpectraClient::current_choice() const {
   return active_->choice;
 }
 
+std::map<std::string, double> SpectraClient::fidelity_map(
+    const std::string& op, const std::vector<double>& fidelity) const {
+  std::map<std::string, double> out;
+  registered(op).fidelity_names.for_each(
+      fidelity,
+      [&out](std::string_view name, double v) { out.emplace(name, v); });
+  return out;
+}
+
 const predict::OperationModel& SpectraClient::model(
     const std::string& op) const {
   return registered(op).model;
@@ -932,6 +939,7 @@ predict::DemandEstimate SpectraClient::predict_demand(
     const std::string& op, const std::map<std::string, double>& params,
     const std::string& data_tag, const solver::Alternative& alt) const {
   const RegisteredOp& r = registered(op);
+  check_alternative(r.desc, alt);
   const predict::FeatureMap interned_params(params);
   predict::FeatureVector features;
   make_features(r, alt, interned_params, util::Symbol(data_tag), features);

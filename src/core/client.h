@@ -156,6 +156,7 @@ struct DecisionTraceEntry {
 
 struct DecisionTrace {
   std::string operation;
+  solver::FidelityNames fidelity_names;  // the operation's, for rendering
   util::Seconds taken_at = 0.0;
   double energy_importance = 0.0;
   std::vector<DecisionTraceEntry> entries;  // in evaluation order
@@ -238,7 +239,8 @@ class SpectraClient {
   // Measurement-harness entry: execute a specific alternative. No snapshot
   // or solver runs (the paper's per-alternative bars carry no decision
   // overhead), but consistency is still enforced and usage still measured
-  // so the models learn from training runs.
+  // so the models learn from training runs. An alternative with a plan out
+  // of range, or without one value per fidelity dimension, is refused.
   OperationChoice begin_fidelity_op_forced(
       const std::string& op, const std::map<std::string, double>& params,
       const std::string& data_tag, const solver::Alternative& alternative);
@@ -260,6 +262,10 @@ class SpectraClient {
   // The registration record of `op` (plan/fidelity names — the
   // DecisionService boundary renders decisions from it).
   const OperationDesc& operation_desc(const std::string& op) const;
+  // A fidelity setting of `op` by dimension name, as traces and the
+  // DecisionService boundary render it.
+  std::map<std::string, double> fidelity_map(
+      const std::string& op, const std::vector<double>& fidelity) const;
   const predict::OperationModel& model(const std::string& op) const;
   predict::DemandEstimate predict_demand(
       const std::string& op, const std::map<std::string, double>& params,
@@ -287,9 +293,21 @@ class SpectraClient {
     predict::OperationModel model;
     std::shared_ptr<solver::UtilityFunction> utility;
     std::size_t executions = 0;
-    // desc.fidelities' names, interned at registration for the default
-    // feature mapping.
-    std::vector<util::Symbol> fidelity_names;
+    // The operation's plans and fidelity dimensions, copied once at
+    // registration; a decision only sets the candidate servers.
+    solver::AlternativeSpace space;
+    solver::FidelityNames fidelity_names;
+  };
+
+  // One priced candidate: evaluate()'s result, its storage reused by every
+  // candidate of every decision.
+  struct Candidate {
+    predict::FeatureVector features;
+    bool feasible = false;
+    // The estimate, its time multiplied by the server's health penalty as
+    // the utility saw it (breakdown.total() is the time before it).
+    solver::UserMetrics metrics;
+    solver::TimeBreakdown breakdown;
   };
 
   struct ActiveOp {
@@ -322,6 +340,14 @@ class SpectraClient {
   void make_features(const RegisteredOp& op, const solver::Alternative& alt,
                      const predict::FeatureMap& params, util::Symbol data_tag,
                      predict::FeatureVector& out) const;
+  // The one candidate evaluation, shared by the solver's callback, the
+  // winner's report and the failover ranking: features -> per-solve cached
+  // demand -> estimate -> health penalty -> log-utility. Fills candidate_
+  // and returns the log-utility, kInfeasible when the estimator cannot
+  // price `alt`. `op.space` must hold the candidate servers.
+  double evaluate(const RegisteredOp& op, const solver::Alternative& alt,
+                  const predict::FeatureMap& params, util::Symbol data_tag,
+                  const solver::EstimatorInputs& inputs);
   OperationChoice choose(RegisteredOp& op, const predict::FeatureMap& params,
                          util::Symbol data_tag);
   void start_execution(RegisteredOp& op, const predict::FeatureMap& params,
@@ -361,6 +387,7 @@ class SpectraClient {
   monitor::MonitorSet monitors_;
   monitor::NetworkMonitor* network_monitor_ = nullptr;  // owned by monitors_
   monitor::BatteryMonitor* battery_monitor_ = nullptr;  // owned by monitors_
+  std::size_t file_cache_monitor_ = 0;  // its slot in monitors_
 
   // Declared before server_db_, which holds a pointer to it and feeds it
   // poll outcomes.
@@ -369,6 +396,7 @@ class SpectraClient {
   ConsistencyManager consistency_;
   solver::ExecutionEstimator estimator_;
   solver::HeuristicSolver solver_;
+  Candidate candidate_;
   // Per-solve demand cache: one model prediction per distinct feature
   // vector within a single decision (the winner's recompute and any
   // repeated candidate evaluations hit it). Emptied at the start of every

@@ -6,9 +6,11 @@
 
 namespace spectra::monitor {
 
-void MonitorSet::add(std::unique_ptr<ResourceMonitor> monitor) {
+std::size_t MonitorSet::add(std::unique_ptr<ResourceMonitor> monitor) {
   SPECTRA_REQUIRE(monitor != nullptr, "null monitor");
   monitors_.push_back(std::move(monitor));
+  last_predict_wall_.push_back(0.0);
+  return monitors_.size() - 1;
 }
 
 ResourceSnapshot MonitorSet::build_snapshot(
@@ -20,13 +22,11 @@ ResourceSnapshot MonitorSet::build_snapshot(
     sa.id = id;
     snap.servers.emplace(id, sa);
   }
-  last_predict_wall_.clear();
-  for (auto& m : monitors_) {
+  for (std::size_t i = 0; i < monitors_.size(); ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    m->predict_avail(snap);
+    monitors_[i]->predict_avail(snap);
     const auto t1 = std::chrono::steady_clock::now();
-    last_predict_wall_[m->name()] +=
-        std::chrono::duration<double>(t1 - t0).count();
+    last_predict_wall_[i] = std::chrono::duration<double>(t1 - t0).count();
   }
   return snap;
 }

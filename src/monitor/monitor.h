@@ -8,7 +8,6 @@
 // Adding measurement capability for a new resource means adding one class.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,7 +55,9 @@ class ResourceMonitor {
 // each framework call out to every monitor.
 class MonitorSet {
  public:
-  void add(std::unique_ptr<ResourceMonitor> monitor);
+  // Install `monitor`; returns its slot, the index of its entry in
+  // last_predict_wall_times().
+  std::size_t add(std::unique_ptr<ResourceMonitor> monitor);
 
   // Build a snapshot covering `candidates` (remote server machine ids).
   ResourceSnapshot build_snapshot(const std::vector<MachineId>& candidates,
@@ -78,15 +79,16 @@ class MonitorSet {
   void copy_state_from(const MonitorSet& src);
 
   // Real (host) wall-clock seconds each monitor spent in predict_avail
-  // during the most recent build_snapshot; feeds the Fig-10 overhead
-  // breakdown ("file cache prediction" is the file_cache monitor's share).
-  const std::map<std::string, double>& last_predict_wall_times() const {
+  // during the most recent build_snapshot, by slot; feeds the Fig-10
+  // overhead breakdown ("file cache prediction" is the file_cache
+  // monitor's share).
+  const std::vector<double>& last_predict_wall_times() const {
     return last_predict_wall_;
   }
 
  private:
   std::vector<std::unique_ptr<ResourceMonitor>> monitors_;
-  std::map<std::string, double> last_predict_wall_;
+  std::vector<double> last_predict_wall_;  // one per monitor
 };
 
 }  // namespace spectra::monitor

@@ -1,9 +1,9 @@
 #include "predict/features.h"
 
 #include <cstring>
-#include <sstream>
 
 #include "util/assert.h"
+#include "util/fnv.h"
 
 namespace spectra::predict {
 
@@ -32,13 +32,14 @@ double FeatureMap::at(util::Symbol name) const {
 
 std::size_t FeatureMap::hash() const {
   if (!hash_valid_) {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over ids and bits
+    // FNV-style over ids and bits, one multiply per 64-bit word.
+    std::uint64_t h = util::kFingerprintSeed;
     for (const auto& e : entries_) {
-      h = (h ^ e.name.id()) * 1099511628211ull;
+      h = (h ^ e.name.id()) * util::kFnvPrime;
       std::uint64_t bits;
       static_assert(sizeof(bits) == sizeof(e.value));
       std::memcpy(&bits, &e.value, sizeof(bits));
-      h = (h ^ bits) * 1099511628211ull;
+      h = (h ^ bits) * util::kFnvPrime;
     }
     hash_ = static_cast<std::size_t>(h);
     hash_valid_ = true;
@@ -46,21 +47,10 @@ std::size_t FeatureMap::hash() const {
   return hash_;
 }
 
-std::string FeatureVector::bin_key() const {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& e : discrete) {  // name order: deterministic
-    if (!first) os << ';';
-    os << e.name << '=' << e.value;
-    first = false;
-  }
-  return os.str();
-}
-
 std::size_t FeatureVector::hash() const {
   std::uint64_t h = discrete.hash();
-  h = (h ^ continuous.hash()) * 1099511628211ull;
-  h = (h ^ data_tag.id()) * 1099511628211ull;
+  h = (h ^ continuous.hash()) * util::kFnvPrime;
+  h = (h ^ data_tag.id()) * util::kFnvPrime;
   return static_cast<std::size_t>(h);
 }
 

@@ -125,11 +125,6 @@ struct FeatureVector {
   FeatureMap continuous;
   util::Symbol data_tag;
 
-  // Canonical key of the discrete combination, e.g. "fidelity=1;plan=2".
-  // Serialization/debug only — hot-path bin lookups key on `discrete`
-  // itself (integer ids, memoized hash).
-  std::string bin_key() const;
-
   friend bool operator==(const FeatureVector& a, const FeatureVector& b) {
     return a.data_tag == b.data_tag && a.discrete == b.discrete &&
            a.continuous == b.continuous;

@@ -70,12 +70,6 @@ void RecencyLinear::add(const FeatureMap& continuous, const double* y) {
   solve_cache_ = SolveCache::kStale;
 }
 
-void RecencyLinear::add(const FeatureMap& continuous, double y) {
-  SPECTRA_REQUIRE(responses_ == 1,
-                  "single-response add on a multi-response model");
-  add(continuous, &y);
-}
-
 bool RecencyLinear::solve(std::vector<double>& beta) const {
   const std::size_t d = dim();
   const std::size_t k_count = responses_;
@@ -160,14 +154,6 @@ void RecencyLinear::predict(const FeatureMap& continuous, double* out) const {
                  ? std::max(0.0, out[k])
                  : std::max(0.0, mean_num_[k] / weight_);
   }
-}
-
-double RecencyLinear::predict(const FeatureMap& continuous) const {
-  SPECTRA_REQUIRE(responses_ == 1,
-                  "single-response predict on a multi-response model");
-  double y = 0.0;
-  predict(continuous, &y);
-  return y;
 }
 
 }  // namespace spectra::predict

@@ -28,16 +28,12 @@ class RecencyLinear {
 
   // One sample: `y` holds responses() values.
   void add(const FeatureMap& continuous, const double* y);
-  // Single-response form.
-  void add(const FeatureMap& continuous, double y);
 
   // Prediction for the given continuous features, one value per response
   // written to `out`; a response falls back to its weighted mean when the
   // regression is not identifiable. Clamped to >= 0 (resource demands are
   // non-negative). Allocates nothing once the coefficients are solved.
   void predict(const FeatureMap& continuous, double* out) const;
-  // Single-response form.
-  double predict(const FeatureMap& continuous) const;
 
   std::size_t responses() const { return responses_; }
   double total_weight() const { return weight_; }

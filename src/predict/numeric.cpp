@@ -52,12 +52,6 @@ void NumericPredictor::add(const FeatureVector& f, const double* y) {
   }
 }
 
-void NumericPredictor::add(const FeatureVector& f, double y) {
-  SPECTRA_REQUIRE(responses() == 1,
-                  "single-response add on a multi-response predictor");
-  add(f, &y);
-}
-
 void NumericPredictor::predict(const FeatureVector& f, double* out) const {
   SPECTRA_REQUIRE(trained(), "predict on an untrained model");
   const RecencyLinear* m = nullptr;
@@ -70,14 +64,6 @@ void NumericPredictor::predict(const FeatureVector& f, double* out) const {
   // Sparse history: fall back to whatever the generic model has.
   if (m == nullptr) m = &global_.generic;
   m->predict(f.continuous, out);
-}
-
-double NumericPredictor::predict(const FeatureVector& f) const {
-  SPECTRA_REQUIRE(responses() == 1,
-                  "single-response predict on a multi-response predictor");
-  double y = 0.0;
-  predict(f, &y);
-  return y;
 }
 
 bool NumericPredictor::has_bin(const FeatureVector& f) const {

@@ -39,15 +39,11 @@ class NumericPredictor {
 
   // One sample: `y` holds responses() values.
   void add(const FeatureVector& f, const double* y);
-  // Single-response form.
-  void add(const FeatureVector& f, double y);
 
   // Predict demand for the given features, one value per response written
   // to `out`. Resolution order: data-specific bin -> data-specific generic
   // -> global bin -> global generic.
   void predict(const FeatureVector& f, double* out) const;
-  // Single-response form.
-  double predict(const FeatureVector& f) const;
 
   std::size_t responses() const { return global_.generic.responses(); }
 

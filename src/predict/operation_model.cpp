@@ -20,7 +20,7 @@ void OperationModel::replay(const UsageRecord& r) {
   const double transport[3] = {r.bytes_sent, r.bytes_received, r.rpcs};
   transport_.add(r.features, transport);
   // Energy samples polluted by concurrent operations are skipped (§3.3.3).
-  if (r.energy_valid) energy_.add(r.features, r.energy);
+  if (r.energy_valid) energy_.add(r.features, &r.energy);
   files_.add(r.features, r.file_accesses);
   ++observations_;
 }
@@ -44,7 +44,8 @@ void OperationModel::predict(const FeatureVector& f,
   e.bytes_sent = transport[0];
   e.bytes_received = transport[1];
   e.rpcs = transport[2];
-  e.energy = energy_.trained() ? energy_.predict(f) : 0.0;
+  e.energy = 0.0;
+  if (energy_.trained()) energy_.predict(f, &e.energy);
   e.has_energy = energy_.trained();
   files_.predict(f, e.files);
 }

@@ -22,17 +22,8 @@ namespace {
 std::vector<solver::Alternative> nullop_alternatives(const World& world) {
   std::vector<solver::Alternative> alts;
   for (double level : {1.0, 0.0}) {
-    solver::Alternative local;
-    local.plan = 0;
-    local.fidelity["level"] = level;
-    alts.push_back(local);
-    for (MachineId id : world.server_ids()) {
-      solver::Alternative remote;
-      remote.plan = 1;
-      remote.server = id;
-      remote.fidelity["level"] = level;
-      alts.push_back(remote);
-    }
+    alts.push_back({0, -1, {level}});
+    for (MachineId id : world.server_ids()) alts.push_back({1, id, {level}});
   }
   return alts;
 }
@@ -157,7 +148,8 @@ class Session : public core::DecisionService {
     d.placement = choice.alternative.server < 0
                       ? "local"
                       : "s" + std::to_string(choice.alternative.server);
-    d.fidelity = choice.alternative.fidelity;
+    d.fidelity = world_->spectra().fidelity_map(App::kOperation,
+                                                choice.alternative.fidelity);
     d.predicted_time_s = choice.predicted.time;
     d.predicted_energy_j = choice.predicted.energy;
     d.log_utility = choice.log_utility;

@@ -1,7 +1,7 @@
 #include "scenario/experiment.h"
 
+#include <algorithm>
 #include <chrono>
-#include <set>
 #include <sstream>
 
 #include "util/assert.h"
@@ -125,7 +125,8 @@ std::vector<solver::Alternative> Speech::alternatives() {
 std::string Speech::label(const solver::Alternative& alt) {
   static const char* kPlans[] = {"local", "hybrid", "remote"};
   std::string s = kPlans[alt.plan];
-  s += alt.fidelity.at("vocab") >= JanusApp::kVocabFull ? "-full" : "-reduced";
+  s += alt.fidelity[JanusApp::kVocab] >= JanusApp::kVocabFull ? "-full"
+                                                               : "-reduced";
   return s;
 }
 
@@ -214,7 +215,6 @@ Pangloss::Input Pangloss::input(const core::ServiceBeginRequest& request) {
 
 std::vector<solver::Alternative> Pangloss::alternatives() {
   std::vector<solver::Alternative> out;
-  std::set<std::string> seen;
   for (int mask = 0; mask < PanglossApp::kPlanCount; ++mask) {
     for (int fid = 1; fid < 8; ++fid) {
       const bool ebmt = (fid & 1) != 0;
@@ -223,7 +223,9 @@ std::vector<solver::Alternative> Pangloss::alternatives() {
       for (MachineId server : {kServerA, kServerB}) {
         const auto alt =
             PanglossApp::alternative(mask, ebmt, gloss, dict, server);
-        if (seen.insert(alt.describe()).second) out.push_back(alt);
+        if (std::find(out.begin(), out.end(), alt) == out.end()) {
+          out.push_back(alt);
+        }
       }
     }
   }
@@ -235,8 +237,7 @@ std::string Pangloss::label(const solver::Alternative& alt) {
   static const char* kNames[] = {"ebmt", "gloss", "dict", "lm"};
   bool any = false;
   for (int c = 0; c <= PanglossApp::kLm; ++c) {
-    const bool enabled =
-        c == PanglossApp::kLm || alt.fidelity.at(kNames[c]) > 0.5;
+    const bool enabled = c == PanglossApp::kLm || alt.fidelity[c] > 0.5;
     if (!enabled) continue;
     if (any) os << '+';
     any = true;
@@ -254,15 +255,8 @@ double Pangloss::achieved_utility(const MeasuredRun& run,
   const apps::PanglossConfig cfg;
   const auto latency =
       solver::deadline_latency(cfg.deadline_lo, cfg.deadline_hi);
-  double fidelity = 0.0;
-  static const char* kNames[] = {"ebmt", "gloss", "dict"};
-  for (int c = 0; c <= PanglossApp::kDict; ++c) {
-    auto it = alt.fidelity.find(kNames[c]);
-    if (it != alt.fidelity.end() && it->second > 0.5) {
-      fidelity += cfg.components[c].fidelity;
-    }
-  }
-  return latency(run.time) * fidelity;
+  return latency(run.time) *
+         PanglossApp::fidelity_desirability(cfg, alt.fidelity);
 }
 
 void Pangloss::train(World& world, std::uint64_t seed, int runs) {
@@ -405,7 +399,7 @@ core::OperationDesc null_op_desc() {
   desc.plans = {{"local", false}, {"remote", true}};
   desc.fidelities = {{"level", {0.0, 1.0}}};
   desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
+  desc.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   return desc;
 }
 
@@ -438,9 +432,7 @@ OverheadReport OverheadExperiment::run() const {
   world.settle(6.0);
 
   // Train so the measured begin_fidelity_op runs the full decision path.
-  solver::Alternative local;
-  local.plan = 0;
-  local.fidelity["level"] = 1.0;
+  const solver::Alternative local{0, -1, {1.0}};  // level 1
   for (int i = 0; i < 16; ++i) {
     world.spectra().begin_fidelity_op_forced(kNullOp, {}, "", local);
     NullOp::execute(world);

@@ -792,7 +792,7 @@ void FleetWorld::run_until(util::Seconds until, exec::ThreadPool* pool) {
 }
 
 std::uint64_t FleetWorld::state_fingerprint() const {
-  std::uint64_t h = util::kFnvOffset;
+  std::uint64_t h = util::kFingerprintSeed;
   const std::size_t nclients = store_.next_op.size();
   for (std::size_t c = 0; c < nclients; ++c) {
     // Field order is the fingerprint contract; the 32-bit counters widen

@@ -30,7 +30,7 @@ class Fingerprint {
   std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+  std::uint64_t h_ = util::kFnvOffsetBasis;
 };
 
 // The one dispatch from a SoakApp to its traits type: returns fn(App{}).

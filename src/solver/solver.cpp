@@ -151,14 +151,9 @@ SolveResult HeuristicSolver::solve(const AlternativeSpace& space,
   SolveResult result;
   const KeyPacker packer(space);
   memo_.reset(config_.max_evaluations);
-  // One candidate per solve, rewritten in place for every evaluation:
-  // fid_slot[i] points at its fidelity map's value for dimension i.
+  // One candidate per solve, rewritten in place for every evaluation.
   Alternative candidate;
-  std::vector<double*> fid_slot;
-  fid_slot.reserve(space.fidelities.size());
-  for (const auto& dim : space.fidelities) {
-    fid_slot.push_back(&candidate.fidelity[dim.name]);
-  }
+  candidate.fidelity.resize(space.fidelities.size());
 
   auto evaluate = [&](const Coords& c) {
     const std::uint64_t key = packer.pack(c);
@@ -168,8 +163,8 @@ SolveResult HeuristicSolver::solve(const AlternativeSpace& space,
     }
     candidate.plan = c.plan;
     candidate.server = c.server_idx >= 0 ? space.servers[c.server_idx] : -1;
-    for (std::size_t i = 0; i < fid_slot.size(); ++i) {
-      *fid_slot[i] = space.fidelities[i].values[c.fid[i]];
+    for (std::size_t i = 0; i < candidate.fidelity.size(); ++i) {
+      candidate.fidelity[i] = space.fidelities[i].values[c.fid[i]];
     }
     const double lu = eval(candidate);
     ++result.evaluations;

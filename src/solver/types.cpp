@@ -7,12 +7,25 @@
 
 namespace spectra::solver {
 
-std::string Alternative::describe() const {
+std::string Alternative::describe(const FidelityNames& names) const {
   std::ostringstream os;
   os << "plan=" << plan;
   if (server >= 0) os << " server=" << server;
-  for (const auto& [k, v] : fidelity) os << ' ' << k << '=' << v;
+  names.for_each(fidelity, [&os](std::string_view name, double v) {
+    os << ' ' << name << '=' << v;
+  });
   return os.str();
+}
+
+FidelityNames::FidelityNames(const std::vector<FidelityDimension>& dims) {
+  for (std::size_t d = 0; d < dims.size(); ++d) {
+    names_.emplace_back(dims[d].name);
+    by_name_.push_back(d);
+  }
+  std::stable_sort(by_name_.begin(), by_name_.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return names_[a] < names_[b];
+                   });
 }
 
 std::size_t AlternativeSpace::count() const {
@@ -39,14 +52,12 @@ std::vector<Alternative> AlternativeSpace::enumerate() const {
 void AlternativeSpace::for_each(
     const std::function<void(const Alternative&)>& visit) const {
   SPECTRA_REQUIRE(!plans.empty(), "alternative space needs at least one plan");
-  Alternative alt;
-  std::vector<double*> slots;  // alt.fidelity's value per dimension
-  slots.reserve(fidelities.size());
   for (const auto& dim : fidelities) {
     SPECTRA_REQUIRE(!dim.values.empty(),
                     "fidelity dimension has no values: " + dim.name);
-    slots.push_back(&alt.fidelity[dim.name]);
   }
+  Alternative alt;
+  alt.fidelity.resize(fidelities.size());
   std::vector<std::size_t> at(fidelities.size());
   // Cartesian product over the fidelity dimensions, the last one varying
   // fastest.
@@ -54,7 +65,7 @@ void AlternativeSpace::for_each(
     std::fill(at.begin(), at.end(), 0);
     for (;;) {
       for (std::size_t d = 0; d < fidelities.size(); ++d) {
-        *slots[d] = fidelities[d].values[at[d]];
+        alt.fidelity[d] = fidelities[d].values[at[d]];
       }
       visit(alt);
       std::size_t d = fidelities.size();

@@ -9,11 +9,12 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "hw/machine.h"
+#include "util/assert.h"
+#include "util/interner.h"
 #include "util/units.h"
 
 namespace spectra::solver {
@@ -22,30 +23,54 @@ using hw::MachineId;
 using util::Joules;
 using util::Seconds;
 
-struct Alternative {
-  int plan = 0;
-  MachineId server = -1;  // -1 when the plan runs entirely locally
-  std::map<std::string, double> fidelity;
-
-  bool operator==(const Alternative& o) const {
-    return plan == o.plan && server == o.server && fidelity == o.fidelity;
-  }
-  std::string describe() const;
-};
-
-struct UserMetrics {
-  Seconds time = 0.0;
-  Joules energy = 0.0;
-  bool has_energy = false;  // untrained energy model -> energy term neutral
-  std::map<std::string, double> fidelity;
-};
-
 // One fidelity knob: a named dimension with the discrete values it may take
 // (the paper's applications all use discrete fidelities; continuous knobs
 // are expressed by enumerating the values of interest).
 struct FidelityDimension {
   std::string name;
   std::vector<double> values;
+};
+
+// The names of an operation's fidelity dimensions, interned once, when the
+// operation registers. Text lists a setting's values by name, in name
+// order whatever the registration order.
+class FidelityNames {
+ public:
+  FidelityNames() = default;
+  explicit FidelityNames(const std::vector<FidelityDimension>& dims);
+
+  util::Symbol operator[](std::size_t d) const { return names_[d]; }
+
+  // Calls visit(name, value) per dimension of `fidelity`, in name order.
+  template <typename Visit>
+  void for_each(const std::vector<double>& fidelity, Visit&& visit) const {
+    SPECTRA_REQUIRE(fidelity.size() == names_.size(),
+                    "fidelity setting does not match its dimensions");
+    for (const std::size_t d : by_name_) visit(names_[d].view(), fidelity[d]);
+  }
+
+ private:
+  std::vector<util::Symbol> names_;   // registration order
+  std::vector<std::size_t> by_name_;  // dimension indices in name order
+};
+
+struct Alternative {
+  int plan = 0;
+  MachineId server = -1;  // -1 when the plan runs entirely locally
+  std::vector<double> fidelity;  // one value per dimension, registration order
+
+  bool operator==(const Alternative& o) const {
+    return plan == o.plan && server == o.server && fidelity == o.fidelity;
+  }
+  // "plan=P server=S name=value ...", fidelity values in name order.
+  std::string describe(const FidelityNames& names) const;
+};
+
+struct UserMetrics {
+  Seconds time = 0.0;
+  Joules energy = 0.0;
+  bool has_energy = false;  // untrained energy model -> energy term neutral
+  std::vector<double> fidelity;  // the alternative's, by dimension
 };
 
 // Description of one execution plan as registered by the application.

@@ -35,21 +35,8 @@ DefaultUtility::DefaultUtility(LatencyFn latency_fn, FidelityFn fidelity_fn,
 
 double DefaultUtility::log_utility(const UserMetrics& metrics,
                                    double c) const {
-  SPECTRA_REQUIRE(c >= 0.0 && c <= 1.0, "energy importance must be in [0,1]");
-  const double lat =
-      latency_fn_(std::max(metrics.time, config_.min_time));
-  const double fid = fidelity_fn_(metrics.fidelity);
-  SPECTRA_REQUIRE(lat >= 0.0, "latency desirability must be >= 0");
-  SPECTRA_REQUIRE(fid >= 0.0, "fidelity desirability must be >= 0");
-  if (lat <= 0.0 || fid <= 0.0) return kInfeasible;
-
-  double lu = std::log(lat) + std::log(fid);
-  if (metrics.has_energy && c > 0.0) {
-    const double e = std::max(metrics.energy, config_.min_energy);
-    // log((1/E)^(k c)) = -k·c·log(E)
-    lu -= config_.energy_k * c * std::log(e);
-  }
-  return lu;
+  const UtilityTerms terms = DefaultUtility::log_utility_terms(metrics, c);
+  return terms.feasible ? terms.total() : kInfeasible;
 }
 
 UtilityTerms DefaultUtility::log_utility_terms(const UserMetrics& metrics,
@@ -58,6 +45,8 @@ UtilityTerms DefaultUtility::log_utility_terms(const UserMetrics& metrics,
   UtilityTerms terms;
   const double lat = latency_fn_(std::max(metrics.time, config_.min_time));
   const double fid = fidelity_fn_(metrics.fidelity);
+  SPECTRA_REQUIRE(lat >= 0.0, "latency desirability must be >= 0");
+  SPECTRA_REQUIRE(fid >= 0.0, "fidelity desirability must be >= 0");
   if (lat <= 0.0 || fid <= 0.0) {
     terms.feasible = false;
     return terms;
@@ -66,6 +55,7 @@ UtilityTerms DefaultUtility::log_utility_terms(const UserMetrics& metrics,
   terms.fidelity = std::log(fid);
   if (metrics.has_energy && c > 0.0) {
     const double e = std::max(metrics.energy, config_.min_energy);
+    // log((1/E)^(k c)) = -k·c·log(E)
     terms.energy = -config_.energy_k * c * std::log(e);
   }
   return terms;

@@ -23,14 +23,15 @@
 namespace spectra::solver {
 
 // Additive decomposition of a log-utility value, for explain records:
-// total = latency + energy + fidelity (log space, so the paper's product
+// total = latency + fidelity + energy (log space, so the paper's product
 // of terms becomes a sum).
 struct UtilityTerms {
   double latency = 0.0;   // log latency_desirability(T)
   double energy = 0.0;    // log (1/E)^(k·c) = -k·c·log(E)
   double fidelity = 0.0;  // log fidelity_desirability(F)
   bool feasible = true;
-  double total() const { return latency + energy + fidelity; }
+  // In DefaultUtility's order of summation: total() == log_utility().
+  double total() const { return latency + fidelity + energy; }
 };
 
 class UtilityFunction {
@@ -57,8 +58,8 @@ class UtilityFunction {
 
 // Desirability of an execution time; must be >= 0. E.g. the paper's 1/T.
 using LatencyFn = std::function<double(Seconds)>;
-// Desirability of a fidelity configuration; must be >= 0.
-using FidelityFn = std::function<double(const std::map<std::string, double>&)>;
+// Desirability of a fidelity setting (values by dimension); must be >= 0.
+using FidelityFn = std::function<double(const std::vector<double>&)>;
 
 struct DefaultUtilityConfig {
   double energy_k = 10.0;  // the paper's constant k

@@ -12,8 +12,11 @@
 
 namespace spectra::util {
 
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// Seed of the fleet fingerprints and of FeatureMap's hash. Not the offset
+// basis (a digit short); kept because fleet fingerprints depend on it.
+inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ull;
 
 // Fold the eight bytes of `v` (low byte first) into the accumulator.
 inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {

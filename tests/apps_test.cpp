@@ -279,7 +279,7 @@ TEST(PanglossTest, EquivalentAlternativesShareFeatures) {
   solver::Alternative raw;
   raw.plan = 0b0001;  // ebmt bit set but ebmt disabled
   raw.server = kServerA;
-  raw.fidelity = {{"ebmt", 0.0}, {"gloss", 1.0}, {"dict", 1.0}};
+  raw.fidelity = {0.0, 1.0, 1.0};  // ebmt, gloss, dict
   predict::FeatureVector fa, fraw;
   PanglossApp::features(a, {{"words", 5.0}}, fa);
   PanglossApp::features(raw, {{"words", 5.0}}, fraw);
@@ -296,10 +296,10 @@ void reference_features(const solver::Alternative& alt,
   const std::array<const char*, 4> names = {"ebmt", "gloss", "dict", "lm"};
   const double words = params.at(util::Symbol("words"));
   for (int c = 0; c < PanglossApp::kLm; ++c) {
-    f.discrete[util::Symbol(names[c])] = alt.fidelity.at(names[c]);
+    f.discrete[util::Symbol(names[c])] = alt.fidelity.at(c);
   }
   for (int c = 0; c <= PanglossApp::kLm; ++c) {
-    if (c != PanglossApp::kLm && !(alt.fidelity.at(names[c]) > 0.5)) continue;
+    if (c != PanglossApp::kLm && !(alt.fidelity.at(c) > 0.5)) continue;
     const std::string name = names[c];
     if ((alt.plan & (1 << c)) != 0) {
       f.continuous[util::Symbol(name + "_remote_w")] = words;
@@ -315,6 +315,8 @@ TEST(PanglossTest, FeatureHookMatchesReference) {
   // enumerates them) on both servers, for the five test sentences. The
   // hook's output vector is reused across calls, as the client does.
   predict::FeatureVector got;
+  const solver::FidelityNames names(
+      {{"ebmt", {0.0, 1.0}}, {"gloss", {0.0, 1.0}}, {"dict", {0.0, 1.0}}});
   int compared = 0;
   for (const int words : {6, 10, 14, 38, 44}) {
     const predict::FeatureMap params{{"words", static_cast<double>(words)}};
@@ -324,16 +326,16 @@ TEST(PanglossTest, FeatureHookMatchesReference) {
           solver::Alternative alt;
           alt.plan = mask;
           alt.server = mask != 0 ? server : -1;
-          alt.fidelity = {{"ebmt", (engines & 1) != 0 ? 1.0 : 0.0},
-                          {"gloss", (engines & 2) != 0 ? 1.0 : 0.0},
-                          {"dict", (engines & 4) != 0 ? 1.0 : 0.0}};
+          alt.fidelity = {(engines & 1) != 0 ? 1.0 : 0.0,   // ebmt
+                          (engines & 2) != 0 ? 1.0 : 0.0,   // gloss
+                          (engines & 4) != 0 ? 1.0 : 0.0};  // dict
           got.discrete.clear();
           got.continuous.clear();
           PanglossApp::features(alt, params, got);
           predict::FeatureVector want;
           reference_features(alt, params, want);
-          EXPECT_EQ(got, want) << alt.describe();
-          EXPECT_EQ(got.hash(), want.hash()) << alt.describe();
+          EXPECT_EQ(got, want) << alt.describe(names);
+          EXPECT_EQ(got.hash(), want.hash()) << alt.describe(names);
           ++compared;
         }
       }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "apps/janus.h"
 #include "apps/pangloss.h"
 #include "core/client.h"
 #include "core/consistency.h"
@@ -104,9 +105,7 @@ struct Rig {
     desc.name = "work";
     desc.plans = {{"local", false}, {"remote", true}};
     desc.latency_fn = solver::inverse_latency();
-    desc.fidelity_fn = [](const std::map<std::string, double>&) {
-      return 1.0;
-    };
+    desc.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
     return desc;
   }
 };
@@ -311,7 +310,7 @@ TEST(SpectraClientTest, ExplorationRoundRobinsUntilTrained) {
   for (int i = 0; i < 2; ++i) {
     const auto choice = rig.spectra->begin_fidelity_op("work", {});
     EXPECT_FALSE(choice.from_model);
-    seen.insert(choice.alternative.describe());
+    seen.insert(choice.alternative.describe(solver::FidelityNames()));
     rpc::Request req;
     req.op_type = "work";
     if (choice.alternative.server >= 0) {
@@ -488,6 +487,27 @@ TEST(SpectraClientTest, DecisionChargedInVirtualTime) {
   rig.spectra->end_fidelity_op();
 }
 
+TEST(SpectraClientTest, ModelDrivenChoiceReportsCachePredictionWallTime) {
+  Rig rig;
+  rig.install_work_service(rig.spectra->local_server(), 10e6);
+  rig.spectra->register_fidelity(rig.work_op());
+  // Get past exploration.
+  for (int i = 0; i < 3; ++i) {
+    rig.spectra->begin_fidelity_op_forced("work", {}, "",
+                                          solver::Alternative{0, -1, {}});
+    rpc::Request req;
+    req.op_type = "work";
+    rig.spectra->do_local_op("work", req);
+    rig.spectra->end_fidelity_op();
+  }
+  const auto choice = rig.spectra->begin_fidelity_op("work", {});
+  ASSERT_TRUE(choice.from_model);
+  // The file-cache monitor's predict_avail ran inside this decision.
+  EXPECT_GT(choice.wall_cache_prediction, 0.0);
+  EXPECT_LE(choice.wall_cache_prediction, choice.wall_total);
+  rig.spectra->end_fidelity_op();
+}
+
 TEST(SpectraClientTest, UsageLogPersistsAcrossClients) {
   const std::string path =
       std::filesystem::temp_directory_path() / "spectra_core_log_test.txt";
@@ -535,6 +555,29 @@ TEST(SpectraClientTest, ForcedPlanIndexValidated) {
   EXPECT_THROW(rig.spectra->begin_fidelity_op_forced(
                    "work", {}, "", solver::Alternative{7, -1, {}}),
                util::ContractError);
+}
+
+// A forced alternative must set one value per registered fidelity
+// dimension. One that does not is refused before the operation starts, so
+// the client stays idle and the next operation runs; an app's execute()
+// never sees it.
+TEST(SpectraClientTest, ForcedAlternativeWithWrongFidelityCountIsRefused) {
+  const scenario::SpeechExperiment experiment(
+      scenario::SpeechExperiment::Config{});
+  auto world = experiment.trained_world();
+  SpectraClient& spectra = world->spectra();
+  for (const std::vector<double>& fidelity :
+       {std::vector<double>{}, std::vector<double>{1.0, 0.0}}) {
+    const solver::Alternative alt{apps::JanusApp::kPlanLocal, -1, fidelity};
+    EXPECT_THROW(world->janus().run_forced(spectra, 2.0, alt),
+                 util::ContractError);
+    EXPECT_FALSE(spectra.op_in_progress());
+  }
+  const OperationChoice choice =
+      spectra.begin_fidelity_op(apps::JanusApp::kOperation, {{"utt_len", 2.0}});
+  EXPECT_TRUE(choice.ok);
+  world->janus().execute(spectra, 2.0);
+  EXPECT_GT(spectra.end_fidelity_op().elapsed, 0.0);
 }
 
 TEST(SpectraClientTest, DecisionTraceCapturedWhenEnabled) {

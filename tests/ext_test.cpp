@@ -230,7 +230,7 @@ TEST(DiscoveryTest, DiscoveredServerUsedBySpectra) {
   desc.name = "crunch";
   desc.plans = {{"local", false}, {"remote", true}};
   desc.latency_fn = solver::inverse_latency();
-  desc.fidelity_fn = [](const std::map<std::string, double>&) { return 1.0; };
+  desc.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   w.spectra().register_fidelity(desc);
 
   w.settle(6.0);  // discovery round

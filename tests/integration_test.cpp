@@ -112,7 +112,7 @@ TEST(SpeechIntegrationTest, SpectraWithinTolerantFactorOfBest) {
     for (const auto& alt : SpeechExperiment::alternatives()) {
       const auto run = exp.measure(alt);
       if (!run.feasible) continue;
-      const double fid = alt.fidelity.at("vocab") >= 1.0 ? 1.0 : 0.5;
+      const double fid = alt.fidelity.at(JanusApp::kVocab) >= 1.0 ? 1.0 : 0.5;
       const double u = fid / run.time;
       best_utility = std::max(best_utility, u);
       if (SpeechExperiment::label(alt) ==
@@ -214,9 +214,9 @@ TEST(PanglossIntegrationTest, SmallSentencesUseAllEngines) {
   PanglossExperiment exp(cfg);
   const auto s = exp.run_spectra();
   const auto& f = s.choice.alternative.fidelity;
-  EXPECT_DOUBLE_EQ(f.at("ebmt"), 1.0);
-  EXPECT_DOUBLE_EQ(f.at("gloss"), 1.0);
-  EXPECT_DOUBLE_EQ(f.at("dict"), 1.0);
+  EXPECT_DOUBLE_EQ(f.at(PanglossApp::kEbmt), 1.0);
+  EXPECT_DOUBLE_EQ(f.at(PanglossApp::kGloss), 1.0);
+  EXPECT_DOUBLE_EQ(f.at(PanglossApp::kDict), 1.0);
 }
 
 TEST(PanglossIntegrationTest, LargeSentencesDropGlossary) {
@@ -226,8 +226,8 @@ TEST(PanglossIntegrationTest, LargeSentencesDropGlossary) {
   PanglossExperiment exp(cfg);
   const auto s = exp.run_spectra();
   const auto& f = s.choice.alternative.fidelity;
-  EXPECT_DOUBLE_EQ(f.at("gloss"), 0.0);
-  EXPECT_DOUBLE_EQ(f.at("ebmt"), 1.0);
+  EXPECT_DOUBLE_EQ(f.at(PanglossApp::kGloss), 0.0);
+  EXPECT_DOUBLE_EQ(f.at(PanglossApp::kEbmt), 1.0);
 }
 
 TEST(PanglossIntegrationTest, EvictedCorpusMovesEbmtOffServerB) {
@@ -238,7 +238,7 @@ TEST(PanglossIntegrationTest, EvictedCorpusMovesEbmtOffServerB) {
   PanglossExperiment exp(cfg);
   const auto s = exp.run_spectra();
   const auto& alt = s.choice.alternative;
-  const bool ebmt_on = alt.fidelity.at("ebmt") > 0.5;
+  const bool ebmt_on = alt.fidelity.at(PanglossApp::kEbmt) > 0.5;
   const bool ebmt_remote =
       (alt.plan & (1 << PanglossApp::kEbmt)) != 0;
   // EBMT must not run on B (where the 12 MB corpus is gone).
@@ -359,9 +359,9 @@ TEST(MultiAppIntegrationTest, BackToBackDecisionsAcrossApps) {
   w->pangloss().execute(w->spectra(), 10);
   const auto usage = w->spectra().end_fidelity_op();
   EXPECT_LT(usage.elapsed, 5.0);  // within the translation deadline
-  EXPECT_GT(pl_choice.predicted.fidelity.at("ebmt") +
-                pl_choice.predicted.fidelity.at("gloss") +
-                pl_choice.predicted.fidelity.at("dict"),
+  EXPECT_GT(pl_choice.predicted.fidelity.at(PanglossApp::kEbmt) +
+                pl_choice.predicted.fidelity.at(PanglossApp::kGloss) +
+                pl_choice.predicted.fidelity.at(PanglossApp::kDict),
             0.5);
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "fs/coda.h"
 #include "hw/machine.h"
@@ -683,12 +685,37 @@ TEST(MonitorSetTest, FindByName) {
   EXPECT_EQ(set.find("nope"), nullptr);
 }
 
+// A monitor whose predict_avail busy-waits for `spin` of host time.
+class SpinMonitor : public ResourceMonitor {
+ public:
+  explicit SpinMonitor(std::chrono::microseconds spin) : spin_(spin) {}
+  const std::string& name() const override { return name_; }
+  void predict_avail(ResourceSnapshot& snapshot) override {
+    (void)snapshot;
+    const auto until = std::chrono::steady_clock::now() + spin_;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  void copy_state_from(const ResourceMonitor& src) override { (void)src; }
+
+ private:
+  std::string name_ = "spin";
+  std::chrono::microseconds spin_;
+};
+
 TEST(MonitorSetTest, RecordsPredictWallTimes) {
   Fixture f;
   MonitorSet set;
-  set.add(std::make_unique<CpuMonitor>(f.engine, f.client));
+  EXPECT_EQ(set.add(std::make_unique<CpuMonitor>(f.engine, f.client)), 0u);
+  const std::size_t spin =
+      set.add(std::make_unique<SpinMonitor>(std::chrono::milliseconds(2)));
+  EXPECT_EQ(spin, 1u);
+  set.add(std::make_unique<RemoteCpuProxy>(f.engine));
+  ASSERT_EQ(set.last_predict_wall_times().size(), 3u);
+  EXPECT_EQ(set.last_predict_wall_times()[spin], 0.0);
   set.build_snapshot({}, f.engine.now());
-  EXPECT_EQ(set.last_predict_wall_times().count("cpu"), 1u);
+  // Only build_snapshot can put the spin monitor's 2 ms into its slot.
+  EXPECT_GE(set.last_predict_wall_times()[spin], 2e-3);
 }
 
 TEST(MonitorSetTest, NullMonitorRejected) {

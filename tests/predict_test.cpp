@@ -18,20 +18,25 @@
 namespace spectra::predict {
 namespace {
 
+// One-response samples and predictions, through the K-response API.
+void add_one(RecencyLinear& m, const FeatureMap& x, double y) {
+  m.add(x, &y);
+}
+double predict_one(const RecencyLinear& m, const FeatureMap& x) {
+  double y = 0.0;
+  m.predict(x, &y);
+  return y;
+}
+void add_one(NumericPredictor& p, const FeatureVector& f, double y) {
+  p.add(f, &y);
+}
+double predict_one(const NumericPredictor& p, const FeatureVector& f) {
+  double y = 0.0;
+  p.predict(f, &y);
+  return y;
+}
+
 // ---------------------------------------------------------------- features
-
-TEST(FeatureVectorTest, BinKeyIsDeterministicAndSorted) {
-  FeatureVector f;
-  f.discrete["plan"] = 2.0;
-  f.discrete["vocab"] = 1.0;
-  EXPECT_EQ(f.bin_key(), "plan=2;vocab=1");
-}
-
-TEST(FeatureVectorTest, EmptyDiscreteGivesEmptyKey) {
-  FeatureVector f;
-  f.continuous["x"] = 3.0;
-  EXPECT_EQ(f.bin_key(), "");
-}
 
 TEST(FeatureMapTest, InsertionOrderDoesNotChangeEntriesOrHash) {
   // Inserts in name order append; any other order binary-searches. The
@@ -90,81 +95,85 @@ TEST(FeatureMapTest, InsertionOrderDoesNotChangeEntriesOrHash) {
 
 TEST(RecencyLinearTest, MeanForConstantSamples) {
   RecencyLinear m(0.95);
-  for (int i = 0; i < 10; ++i) m.add({}, 5.0);
-  EXPECT_NEAR(m.predict({}), 5.0, 1e-9);
+  for (int i = 0; i < 10; ++i) add_one(m, {}, 5.0);
+  EXPECT_NEAR(predict_one(m, {}), 5.0, 1e-9);
 }
 
 TEST(RecencyLinearTest, PredictOnEmptyThrows) {
   RecencyLinear m;
-  EXPECT_THROW(m.predict({}), util::ContractError);
+  EXPECT_THROW(predict_one(m, {}), util::ContractError);
 }
 
 TEST(RecencyLinearTest, FitsExactLine) {
   RecencyLinear m(1.0);
   for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    m.add({{"x", x}}, 10.0 + 3.0 * x);
+    add_one(m, {{"x", x}}, 10.0 + 3.0 * x);
   }
-  EXPECT_NEAR(m.predict({{"x", 10.0}}), 40.0, 1e-3);  // ridge bias
-  EXPECT_NEAR(m.predict({{"x", 0.0}}), 10.0, 1e-3);
+  EXPECT_NEAR(predict_one(m, {{"x", 10.0}}), 40.0, 1e-3);  // ridge bias
+  EXPECT_NEAR(predict_one(m, {{"x", 0.0}}), 10.0, 1e-3);
 }
 
 TEST(RecencyLinearTest, TwoSamplesFallBackToMean) {
   RecencyLinear m(1.0);
-  m.add({{"x", 1.0}}, 10.0);
-  m.add({{"x", 1.1}}, 12.0);  // a 2-point line would extrapolate wildly
-  EXPECT_NEAR(m.predict({{"x", 10.0}}), 11.0, 1e-6);
+  add_one(m, {{"x", 1.0}}, 10.0);
+  add_one(m, {{"x", 1.1}}, 12.0);  // a 2-point line would extrapolate wildly
+  EXPECT_NEAR(predict_one(m, {{"x", 10.0}}), 11.0, 1e-6);
   EXPECT_FALSE(m.identifiable());
 }
 
 TEST(RecencyLinearTest, IdentifiableAfterEnoughSamples) {
   RecencyLinear m(1.0);
-  m.add({{"x", 1.0}}, 1.0);
-  m.add({{"x", 2.0}}, 2.0);
+  add_one(m, {{"x", 1.0}}, 1.0);
+  add_one(m, {{"x", 2.0}}, 2.0);
   EXPECT_FALSE(m.identifiable());
-  m.add({{"x", 3.0}}, 3.0);
+  add_one(m, {{"x", 3.0}}, 3.0);
   EXPECT_TRUE(m.identifiable());
 }
 
 TEST(RecencyLinearTest, RecentSamplesDominateOldBehaviour) {
   RecencyLinear m(0.5);
-  for (int i = 0; i < 20; ++i) m.add({}, 100.0);
-  for (int i = 0; i < 6; ++i) m.add({}, 10.0);
-  EXPECT_LT(m.predict({}), 15.0);
+  for (int i = 0; i < 20; ++i) add_one(m, {}, 100.0);
+  for (int i = 0; i < 6; ++i) add_one(m, {}, 10.0);
+  EXPECT_LT(predict_one(m, {}), 15.0);
 }
 
 TEST(RecencyLinearTest, CollinearSamplesDegradeGracefully) {
   RecencyLinear m(1.0);
   // Every sample at the same x: slope unidentifiable; ridge keeps the
   // solution sane or the mean fallback kicks in.
-  for (int i = 0; i < 10; ++i) m.add({{"x", 2.0}}, 8.0);
-  const double p = m.predict({{"x", 2.0}});
+  for (int i = 0; i < 10; ++i) add_one(m, {{"x", 2.0}}, 8.0);
+  const double p = predict_one(m, {{"x", 2.0}});
   EXPECT_NEAR(p, 8.0, 0.5);
   // Extrapolation never goes negative.
-  EXPECT_GE(m.predict({{"x", 100.0}}), 0.0);
+  EXPECT_GE(predict_one(m, {{"x", 100.0}}), 0.0);
 }
 
 TEST(RecencyLinearTest, FeatureSetMayGrowAcrossSamples) {
   // The Pangloss regression depends on this: samples carry only the
   // features of the components that actually ran.
   RecencyLinear m(1.0);
-  for (double x : {1.0, 2.0, 3.0, 4.0}) m.add({{"a", x}}, 5.0 * x);
+  for (double x : {1.0, 2.0, 3.0, 4.0}) add_one(m, {{"a", x}}, 5.0 * x);
   for (double x : {1.0, 2.0, 3.0, 4.0}) {
-    m.add({{"a", x}, {"b", x}}, 5.0 * x + 7.0 * x);
+    add_one(m, {{"a", x}, {"b", x}}, 5.0 * x + 7.0 * x);
   }
-  EXPECT_NEAR(m.predict({{"a", 2.0}}), 10.0, 1.0);
-  EXPECT_NEAR(m.predict({{"a", 2.0}, {"b", 2.0}}), 24.0, 1.5);
+  EXPECT_NEAR(predict_one(m, {{"a", 2.0}}), 10.0, 1.0);
+  EXPECT_NEAR(predict_one(m, {{"a", 2.0}, {"b", 2.0}}), 24.0, 1.5);
 }
 
 TEST(RecencyLinearTest, MissingFeatureTreatedAsZero) {
   RecencyLinear m(1.0);
-  for (double x : {0.0, 1.0, 2.0, 3.0}) m.add({{"x", x}}, 2.0 + 4.0 * x);
-  EXPECT_NEAR(m.predict({}), 2.0, 1e-6);
+  for (double x : {0.0, 1.0, 2.0, 3.0}) {
+    add_one(m, {{"x", x}}, 2.0 + 4.0 * x);
+  }
+  EXPECT_NEAR(predict_one(m, {}), 2.0, 1e-6);
 }
 
 TEST(RecencyLinearTest, PredictionsClampedNonNegative) {
   RecencyLinear m(1.0);
-  for (double x : {1.0, 2.0, 3.0, 4.0}) m.add({{"x", x}}, 10.0 - 2.0 * x);
-  EXPECT_GE(m.predict({{"x", 100.0}}), 0.0);
+  for (double x : {1.0, 2.0, 3.0, 4.0}) {
+    add_one(m, {{"x", x}}, 10.0 - 2.0 * x);
+  }
+  EXPECT_GE(predict_one(m, {{"x", 100.0}}), 0.0);
 }
 
 TEST(RecencyLinearTest, MultiFeatureRecovery) {
@@ -173,9 +182,9 @@ TEST(RecencyLinearTest, MultiFeatureRecovery) {
   for (int i = 0; i < 200; ++i) {
     const double a = rng.uniform(0.0, 10.0);
     const double b = rng.uniform(0.0, 10.0);
-    m.add({{"a", a}, {"b", b}}, 1.0 + 2.0 * a + 5.0 * b);
+    add_one(m, {{"a", a}, {"b", b}}, 1.0 + 2.0 * a + 5.0 * b);
   }
-  EXPECT_NEAR(m.predict({{"a", 4.0}, {"b", 2.0}}), 19.0, 0.1);
+  EXPECT_NEAR(predict_one(m, {{"a", 4.0}, {"b", 2.0}}), 19.0, 0.1);
 }
 
 TEST(RecencyLinearTest, RejectsBadDecay) {
@@ -192,9 +201,9 @@ TEST_P(LinearRecoveryTest, RecoversSlopeUnderNoise) {
   util::Rng rng(17);
   for (int i = 0; i < 400; ++i) {
     const double x = rng.uniform(1.0, 9.0);
-    m.add({{"x", x}}, (3.0 + 2.0 * x) * rng.noise_factor(0.05));
+    add_one(m, {{"x", x}}, (3.0 + 2.0 * x) * rng.noise_factor(0.05));
   }
-  EXPECT_NEAR(m.predict({{"x", 5.0}}), 13.0, 13.0 * 0.1);
+  EXPECT_NEAR(predict_one(m, {{"x", 5.0}}), 13.0, 13.0 * 0.1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decays, LinearRecoveryTest,
@@ -233,8 +242,8 @@ TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
       double got[kK];
       multi.predict(q, got);
       for (std::size_t k = 0; k < kK; ++k) {
-        EXPECT_EQ(got[k], single[k].predict(q)) << "step " << step << " k "
-                                                << k;
+        EXPECT_EQ(got[k], predict_one(single[k], q))
+            << "step " << step << " k " << k;
       }
     }
   };
@@ -247,7 +256,7 @@ TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
       y[k] = (coef[k][0] + coef[k][1] * a + coef[k][2] * b +
               coef[k][3] * c) *
              rng.noise_factor(0.1);
-      single[k].add(x, y[k]);
+      add_one(single[k], x, y[k]);
     }
     multi.add(x, y);
     check(step);
@@ -326,44 +335,44 @@ FeatureVector fv(double plan, double vocab, double len,
 TEST(NumericPredictorTest, UntrainedThrows) {
   NumericPredictor p;
   EXPECT_FALSE(p.trained());
-  EXPECT_THROW(p.predict(fv(0, 0, 1)), util::ContractError);
+  EXPECT_THROW(predict_one(p, fv(0, 0, 1)), util::ContractError);
 }
 
 TEST(NumericPredictorTest, BinsSeparateDiscreteCombinations) {
   NumericPredictor p;
   for (int i = 0; i < 5; ++i) {
-    p.add(fv(0, 0, 1.0 + i), 10.0);
-    p.add(fv(1, 0, 1.0 + i), 100.0);
+    add_one(p, fv(0, 0, 1.0 + i), 10.0);
+    add_one(p, fv(1, 0, 1.0 + i), 100.0);
   }
-  EXPECT_NEAR(p.predict(fv(0, 0, 3.0)), 10.0, 1.0);
-  EXPECT_NEAR(p.predict(fv(1, 0, 3.0)), 100.0, 10.0);
+  EXPECT_NEAR(predict_one(p, fv(0, 0, 3.0)), 10.0, 1.0);
+  EXPECT_NEAR(predict_one(p, fv(1, 0, 3.0)), 100.0, 10.0);
 }
 
 TEST(NumericPredictorTest, GenericFallbackForUnseenCombination) {
   NumericPredictor p;
-  for (int i = 0; i < 6; ++i) p.add(fv(0, 0, 2.0), 10.0);
+  for (int i = 0; i < 6; ++i) add_one(p, fv(0, 0, 2.0), 10.0);
   // Unseen (plan=7) combination: falls back to the generic model.
-  EXPECT_NEAR(p.predict(fv(7, 0, 2.0)), 10.0, 1.0);
+  EXPECT_NEAR(predict_one(p, fv(7, 0, 2.0)), 10.0, 1.0);
 }
 
 TEST(NumericPredictorTest, RegressionInsideBin) {
   NumericPredictor p;
   for (double len : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    p.add(fv(0, 1, len), 100.0 * len);
+    add_one(p, fv(0, 1, len), 100.0 * len);
   }
-  EXPECT_NEAR(p.predict(fv(0, 1, 2.5)), 250.0, 5.0);
+  EXPECT_NEAR(predict_one(p, fv(0, 1, 2.5)), 250.0, 5.0);
 }
 
 TEST(NumericPredictorTest, DataSpecificModelPreferred) {
   NumericPredictor p;
   for (int i = 0; i < 4; ++i) {
-    p.add(fv(0, 0, 1.0, "small"), 10.0);
-    p.add(fv(0, 0, 1.0, "large"), 1000.0);
+    add_one(p, fv(0, 0, 1.0, "small"), 10.0);
+    add_one(p, fv(0, 0, 1.0, "large"), 1000.0);
   }
-  EXPECT_NEAR(p.predict(fv(0, 0, 1.0, "small")), 10.0, 1.0);
-  EXPECT_NEAR(p.predict(fv(0, 0, 1.0, "large")), 1000.0, 50.0);
+  EXPECT_NEAR(predict_one(p, fv(0, 0, 1.0, "small")), 10.0, 1.0);
+  EXPECT_NEAR(predict_one(p, fv(0, 0, 1.0, "large")), 1000.0, 50.0);
   // Unknown document: data-independent model (a blend).
-  const double generic = p.predict(fv(0, 0, 1.0, "unknown"));
+  const double generic = predict_one(p, fv(0, 0, 1.0, "unknown"));
   EXPECT_GT(generic, 10.0);
   EXPECT_LT(generic, 1000.0);
 }
@@ -373,12 +382,12 @@ TEST(NumericPredictorTest, DataLruEvictsOldDocuments) {
   cfg.data_lru_capacity = 2;
   NumericPredictor p(cfg);
   for (int i = 0; i < 4; ++i) {
-    p.add(fv(0, 0, 1.0, "d1"), 1.0);
-    p.add(fv(0, 0, 1.0, "d2"), 2.0);
-    p.add(fv(0, 0, 1.0, "d3"), 3.0);
+    add_one(p, fv(0, 0, 1.0, "d1"), 1.0);
+    add_one(p, fv(0, 0, 1.0, "d2"), 2.0);
+    add_one(p, fv(0, 0, 1.0, "d3"), 3.0);
   }
   // d1 was evicted: prediction comes from the generic model, not 1.0.
-  EXPECT_GT(p.predict(fv(0, 0, 1.0, "d1")), 1.5);
+  EXPECT_GT(predict_one(p, fv(0, 0, 1.0, "d1")), 1.5);
 }
 
 TEST(NumericPredictorTest, UnderIdentifiedBinDefersToGenericRegression) {
@@ -386,18 +395,18 @@ TEST(NumericPredictorTest, UnderIdentifiedBinDefersToGenericRegression) {
   // Bin (plan=0) gets 2 samples (not enough for a slope); the generic model
   // sees many and fits len exactly.
   for (double len : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) {
-    p.add(fv(1, 0, len), 10.0 * len);
+    add_one(p, fv(1, 0, len), 10.0 * len);
   }
-  p.add(fv(0, 0, 1.0), 10.0);
-  p.add(fv(0, 0, 2.0), 20.0);
-  EXPECT_NEAR(p.predict(fv(0, 0, 6.0)), 60.0, 6.0);
+  add_one(p, fv(0, 0, 1.0), 10.0);
+  add_one(p, fv(0, 0, 2.0), 20.0);
+  EXPECT_NEAR(predict_one(p, fv(0, 0, 6.0)), 60.0, 6.0);
 }
 
 TEST(NumericPredictorTest, HasBinReflectsTraining) {
   NumericPredictor p;
   EXPECT_FALSE(p.has_bin(fv(0, 0, 1)));
-  p.add(fv(0, 0, 1), 1.0);
-  p.add(fv(0, 0, 2), 2.0);
+  add_one(p, fv(0, 0, 1), 1.0);
+  add_one(p, fv(0, 0, 2), 2.0);
   EXPECT_TRUE(p.has_bin(fv(0, 0, 1)));
   EXPECT_FALSE(p.has_bin(fv(1, 0, 1)));
 }
@@ -596,23 +605,23 @@ struct PerMetricModel {
 
   void observe(const FeatureVector& f, const monitor::OperationUsage& u) {
     const UsageRecord r = UsageRecord::from_usage("", f, u);
-    local_cycles.add(r.features, r.local_cycles);
-    remote_cycles.add(r.features, r.remote_cycles);
-    bytes_sent.add(r.features, r.bytes_sent);
-    bytes_received.add(r.features, r.bytes_received);
-    rpcs.add(r.features, r.rpcs);
-    if (r.energy_valid) energy.add(r.features, r.energy);
+    add_one(local_cycles, r.features, r.local_cycles);
+    add_one(remote_cycles, r.features, r.remote_cycles);
+    add_one(bytes_sent, r.features, r.bytes_sent);
+    add_one(bytes_received, r.features, r.bytes_received);
+    add_one(rpcs, r.features, r.rpcs);
+    if (r.energy_valid) add_one(energy, r.features, r.energy);
     files.add(r.features, r.file_accesses);
   }
   void observe_failure(const FeatureVector& f,
                        const monitor::OperationUsage& partial) {
-    bytes_sent.add(f, partial.bytes_sent);
-    bytes_received.add(f, partial.bytes_received);
-    rpcs.add(f, partial.rpcs);
+    add_one(bytes_sent, f, partial.bytes_sent);
+    add_one(bytes_received, f, partial.bytes_received);
+    add_one(rpcs, f, partial.rpcs);
   }
   void predict(const FeatureVector& f, DemandEstimate& e) const {
     const auto metric = [&f](const NumericPredictor& p) {
-      return p.trained() ? p.predict(f) : 0.0;
+      return p.trained() ? predict_one(p, f) : 0.0;
     };
     e.local_cycles = metric(local_cycles);
     e.remote_cycles = metric(remote_cycles);

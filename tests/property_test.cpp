@@ -182,13 +182,13 @@ TEST_P(UtilityMonotoneTest, MonotoneInEachMetric) {
   util::Rng rng(GetParam());
   solver::DefaultUtility u(
       solver::inverse_latency(),
-      [](const std::map<std::string, double>& f) { return f.at("fid"); });
+      [](const std::vector<double>& f) { return f.at(0); });
   for (int i = 0; i < 50; ++i) {
     solver::UserMetrics m;
     m.time = rng.uniform(0.1, 20.0);
     m.energy = rng.uniform(0.1, 100.0);
     m.has_energy = true;
-    m.fidelity["fid"] = rng.uniform(0.1, 1.0);
+    m.fidelity = {rng.uniform(0.1, 1.0)};
     const double c = rng.uniform(0.0, 1.0);
     const double base = u.log_utility(m, c);
 
@@ -201,7 +201,7 @@ TEST_P(UtilityMonotoneTest, MonotoneInEachMetric) {
     EXPECT_GE(u.log_utility(cheaper, c), base);
 
     solver::UserMetrics better = m;
-    better.fidelity["fid"] = std::min(1.0, m.fidelity["fid"] * 1.5);
+    better.fidelity = {std::min(1.0, m.fidelity[0] * 1.5)};
     EXPECT_GE(u.log_utility(better, c), base);
   }
 }
@@ -230,9 +230,12 @@ TEST_P(PredictorConvergenceTest, ConvergesToTruth) {
   predict::FeatureVector f;
   f.discrete["plan"] = 1;
   for (int i = 0; i < 300; ++i) {
-    p.add(f, 1000.0 * rng.noise_factor(cv));
+    const double y = 1000.0 * rng.noise_factor(cv);
+    p.add(f, &y);
   }
-  EXPECT_NEAR(p.predict(f), 1000.0, 1000.0 * (cv + 0.05));
+  double predicted = 0.0;
+  p.predict(f, &predicted);
+  EXPECT_NEAR(predicted, 1000.0, 1000.0 * (cv + 0.05));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -259,8 +262,8 @@ TEST_P(SolverBudgetTest, MoreBudgetNeverHurts) {
   const double wp = wrng.uniform(-1.0, 1.0);
   const double wa = wrng.uniform(-1.0, 2.0);
   const auto eval = [&](const solver::Alternative& a) {
-    return wp * a.plan + wa * a.fidelity.at("a") + 0.3 * a.server -
-           a.fidelity.at("b");
+    return wp * a.plan + wa * a.fidelity.at(0) + 0.3 * a.server -
+           a.fidelity.at(1);
   };
   double prev = -1e300;
   for (const std::size_t budget : {16u, 64u, 256u, 1024u}) {

@@ -118,8 +118,10 @@ TEST(ExperimentTest, LatexAlternativeLabels) {
 
 TEST(ExperimentTest, PanglossAlternativesAreDistinct) {
   const auto alts = PanglossExperiment::alternatives();
+  const solver::FidelityNames names(
+      {{"ebmt", {0.0, 1.0}}, {"gloss", {0.0, 1.0}}, {"dict", {0.0, 1.0}}});
   std::set<std::string> keys;
-  for (const auto& a : alts) keys.insert(a.describe());
+  for (const auto& a : alts) keys.insert(a.describe(names));
   EXPECT_EQ(keys.size(), alts.size());
 }
 

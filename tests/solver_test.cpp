@@ -70,13 +70,14 @@ TEST(AlternativeTest, DescribeAndEquality) {
   Alternative a;
   a.plan = 1;
   a.server = 2;
-  a.fidelity["v"] = 1.0;
+  a.fidelity = {1.0};
   Alternative b = a;
   EXPECT_TRUE(a == b);
-  b.fidelity["v"] = 0.0;
+  b.fidelity = {0.0};
   EXPECT_FALSE(a == b);
-  EXPECT_NE(a.describe().find("plan=1"), std::string::npos);
-  EXPECT_NE(a.describe().find("server=2"), std::string::npos);
+  const FidelityNames names({{"v", {0.0, 1.0}}});
+  EXPECT_NE(a.describe(names).find("plan=1"), std::string::npos);
+  EXPECT_NE(a.describe(names).find("server=2"), std::string::npos);
 }
 
 // ----------------------------------------------------------------- utility
@@ -106,10 +107,7 @@ DefaultUtility make_utility(double k = 10.0) {
   cfg.energy_k = k;
   return DefaultUtility(
       inverse_latency(),
-      [](const std::map<std::string, double>& f) {
-        auto it = f.find("fid");
-        return it != f.end() ? it->second : 1.0;
-      },
+      [](const std::vector<double>& f) { return f.empty() ? 1.0 : f[0]; },
       cfg);
 }
 
@@ -118,7 +116,7 @@ UserMetrics metrics(double t, double e, double fid, bool has_energy = true) {
   m.time = t;
   m.energy = e;
   m.has_energy = has_energy;
-  m.fidelity["fid"] = fid;
+  m.fidelity = {fid};
   return m;
 }
 
@@ -171,7 +169,7 @@ TEST(UtilityTest, ZeroFidelityIsInfeasible) {
 
 TEST(UtilityTest, ZeroLatencyDesirabilityIsInfeasible) {
   DefaultUtility u(deadline_latency(0.5, 5.0),
-                   [](const std::map<std::string, double>&) { return 1.0; });
+                   [](const std::vector<double>&) { return 1.0; });
   EXPECT_EQ(u.log_utility(metrics(6.0, 1.0, 1.0), 0.0), kInfeasible);
 }
 
@@ -196,6 +194,29 @@ TEST(UtilityTest, InvalidImportanceRejected) {
   auto u = make_utility();
   EXPECT_THROW(u.log_utility(metrics(1, 1, 1), -0.1), util::ContractError);
   EXPECT_THROW(u.log_utility(metrics(1, 1, 1), 1.1), util::ContractError);
+}
+
+// log_utility_terms() is the exact decomposition of log_utility(): on
+// seeded realistic inputs their sums agree bit for bit, and both refuse
+// the same infeasible outcome.
+TEST(DefaultUtilityTest, TermsTotalIsLogUtility) {
+  const auto u = make_utility();
+  util::Rng rng(21);
+  int mismatches = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const double t = rng.uniform(0.01, 10.0);
+    const double e = rng.uniform(0.1, 100.0);
+    const double fid = rng.uniform(0.1, 1.0);
+    const double c = rng.uniform(0.0, 1.0);
+    const UserMetrics m = metrics(t, e, fid);
+    const UtilityTerms terms = u.log_utility_terms(m, c);
+    ASSERT_TRUE(terms.feasible);
+    if (terms.total() != u.log_utility(m, c)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+  const UserMetrics zero = metrics(1.0, 1.0, 0.0);
+  EXPECT_FALSE(u.log_utility_terms(zero, 0.5).feasible);
+  EXPECT_EQ(u.log_utility(zero, 0.5), kInfeasible);
 }
 
 TEST(UtilityTest, MissingFunctionsRejected) {
@@ -427,11 +448,11 @@ TEST(EstimatorTest, FidelityCopiedFromAlternative) {
   AlternativeSpace space = estimator_space();
   space.fidelities = {{"vocab", {0.0, 1.0}}};
   Alternative a = local_alt();
-  a.fidelity["vocab"] = 1.0;
+  a.fidelity = {1.0};
   ExecutionEstimator est;
   // A reused metrics object keeps nothing from the previous candidate.
   UserMetrics m;
-  m.fidelity["stale"] = 5.0;
+  m.fidelity = {5.0, 5.0};
   m.has_energy = true;
   ASSERT_TRUE(est.estimate(in, space, a, {}, m));
   EXPECT_EQ(m.fidelity, a.fidelity);
@@ -458,12 +479,12 @@ TEST(ExhaustiveSolverTest, FindsGlobalMaximum) {
   // Utility peaks at plan=1, server=2, vocab=1.
   const auto result = solver.solve(space, [](const Alternative& a) {
     return (a.plan == 1 ? 1.0 : 0.0) + (a.server == 2 ? 1.0 : 0.0) +
-           a.fidelity.at("vocab");
+           a.fidelity.at(0);
   });
   EXPECT_TRUE(result.found);
   EXPECT_EQ(result.best.plan, 1);
   EXPECT_EQ(result.best.server, 2);
-  EXPECT_DOUBLE_EQ(result.best.fidelity.at("vocab"), 1.0);
+  EXPECT_DOUBLE_EQ(result.best.fidelity.at(0), 1.0);
   EXPECT_EQ(result.evaluations, space.count());
 }
 
@@ -478,11 +499,11 @@ TEST(HeuristicSolverTest, SmallSpaceSolvedExhaustively) {
   HeuristicSolver solver{util::Rng(1)};
   const auto space = small_space();  // 6 alternatives <= threshold
   const auto result = solver.solve(space, [](const Alternative& a) {
-    return a.fidelity.at("vocab") + (a.plan == 0 ? 0.5 : 0.0);
+    return a.fidelity.at(0) + (a.plan == 0 ? 0.5 : 0.0);
   });
   EXPECT_TRUE(result.found);
   EXPECT_EQ(result.best.plan, 0);
-  EXPECT_DOUBLE_EQ(result.best.fidelity.at("vocab"), 1.0);
+  EXPECT_DOUBLE_EQ(result.best.fidelity.at(0), 1.0);
 }
 
 AlternativeSpace big_space() {
@@ -500,7 +521,7 @@ TEST(HeuristicSolverTest, RespectsEvaluationBudget) {
   cfg.max_evaluations = 50;
   HeuristicSolver solver{util::Rng(1), cfg};
   const auto result = solver.solve(big_space(), [](const Alternative& a) {
-    return static_cast<double>(a.plan) + a.fidelity.at("a");
+    return static_cast<double>(a.plan) + a.fidelity.at(0);
   });
   EXPECT_TRUE(result.found);
   EXPECT_LE(result.evaluations, 50u);
@@ -513,7 +534,7 @@ TEST(HeuristicSolverTest, FindsNearOptimalOnSmoothLandscape) {
     // Smooth, separable objective: hill climbing should nail it.
     double u = -std::abs(a.plan - 11.0);
     u += a.server == 2 ? 0.5 : 0.0;
-    u += a.fidelity.at("a") + a.fidelity.at("b") + a.fidelity.at("c");
+    u += a.fidelity.at(0) + a.fidelity.at(1) + a.fidelity.at(2);
     return u;
   };
   const auto best = oracle.solve(space, eval);
@@ -535,7 +556,7 @@ TEST(HeuristicSolverTest, SkipsInfeasibleRegions) {
 
 TEST(HeuristicSolverTest, DeterministicForSameSeed) {
   const auto eval = [](const Alternative& a) {
-    return static_cast<double>(a.plan) * 0.1 + a.fidelity.at("a");
+    return static_cast<double>(a.plan) * 0.1 + a.fidelity.at(0);
   };
   HeuristicSolver s1{util::Rng(5)}, s2{util::Rng(5)};
   const auto r1 = s1.solve(big_space(), eval);
@@ -546,7 +567,7 @@ TEST(HeuristicSolverTest, DeterministicForSameSeed) {
 
 TEST(HeuristicSolverTest, MemoCountsHitsSeparatelyFromEvaluations) {
   const auto eval = [](const Alternative& a) {
-    return static_cast<double>(a.plan) * 0.1 + a.fidelity.at("a");
+    return static_cast<double>(a.plan) * 0.1 + a.fidelity.at(0);
   };
   HeuristicSolver solver{util::Rng(5)};
   const auto result = solver.solve(big_space(), eval);
@@ -560,7 +581,7 @@ TEST(HeuristicSolverTest, MemoCountsHitsSeparatelyFromEvaluations) {
 
 TEST(HeuristicSolverTest, MemoHitsDeterministicForSameSeed) {
   const auto eval = [](const Alternative& a) {
-    return static_cast<double>(a.plan) * 0.1 + a.fidelity.at("a");
+    return static_cast<double>(a.plan) * 0.1 + a.fidelity.at(0);
   };
   HeuristicSolver s1{util::Rng(5)}, s2{util::Rng(5)};
   EXPECT_EQ(s1.solve(big_space(), eval).memo_hits,
@@ -591,8 +612,7 @@ SolveResult reference_heuristic_solve(util::Rng rng,
     a.plan = c.plan;
     a.server = c.server_idx >= 0 ? space.servers[c.server_idx] : -1;
     for (std::size_t i = 0; i < space.fidelities.size(); ++i) {
-      a.fidelity[space.fidelities[i].name] =
-          space.fidelities[i].values[c.fid[i]];
+      a.fidelity.push_back(space.fidelities[i].values[c.fid[i]]);
     }
     return a;
   };
@@ -714,8 +734,8 @@ TEST_P(PackedMemoEquivalenceTest, MatchesReferenceImplementation) {
   const double wb = landscape.uniform(0.0, 2.0);
   const auto eval = [&](const Alternative& a) {
     if (seed % 3 == 0 && a.plan % 5 == 2) return kInfeasible;
-    return wp * a.plan + ws * a.server + wa * a.fidelity.at("a") +
-           wb * a.fidelity.at("b") - a.fidelity.at("c");
+    return wp * a.plan + ws * a.server + wa * a.fidelity.at(0) +
+           wb * a.fidelity.at(1) - a.fidelity.at(2);
   };
 
   const auto space = big_space();
@@ -787,7 +807,7 @@ TEST(HeuristicSolverTest, RejectsSpaceTooWideToPack) {
 
   wide.fidelities.pop_back();  // 62 bits: packs, and solves
   const auto result = solver.solve(wide, [](const Alternative& a) {
-    return a.fidelity.at("f0");
+    return a.fidelity.at(0);
   });
   EXPECT_TRUE(result.found);
 }
@@ -812,8 +832,8 @@ TEST_P(SolverQualityTest, NearOptimalOnRandomLandscapes) {
   const double wa = rng.uniform(0.0, 2.0);
   const double wb = rng.uniform(0.0, 2.0);
   const auto eval = [&](const Alternative& a) {
-    return wp * a.plan + ws * a.server + wa * a.fidelity.at("a") +
-           wb * a.fidelity.at("b") - a.fidelity.at("c");
+    return wp * a.plan + ws * a.server + wa * a.fidelity.at(0) +
+           wb * a.fidelity.at(1) - a.fidelity.at(2);
   };
   ExhaustiveSolver oracle;
   const double best = oracle.solve(space, eval).log_utility;
