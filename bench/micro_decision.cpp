@@ -203,11 +203,14 @@ ComponentResult time_component(const std::string& name, int ops, int reps,
           1000.0 * best_ms / ops};
 }
 
+// Discrete {plan, vocab} and continuous {len}, by slot.
 predict::FeatureVector component_features(int plan, double len) {
   predict::FeatureVector f;
-  f.discrete["plan"] = plan;
-  f.discrete["vocab"] = plan % 2;
-  f.continuous["len"] = len;
+  f.discrete.reset(2);
+  f.discrete.set(0, plan);
+  f.discrete.set(1, plan % 2);
+  f.continuous.reset(1);
+  f.continuous.set(0, len);
   return f;
 }
 

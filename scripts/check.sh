@@ -256,11 +256,13 @@ echo "== sanitize smoke (address) =="
 # solver_test, apps_test, core_test and integration_test run the indexed
 # fidelity settings through the space, the solver, the apps' hooks, the
 # client's one candidate evaluator and its forced-alternative check.
+# serve_test sends wire input through the daemon, including the begin
+# parameters the client maps onto slots or refuses.
 SMOKE="$BUILD-asan"
 cmake -B "$SMOKE" -S . -DSPECTRA_SANITIZE=address >/dev/null
 cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test \
     predict_test monitor_test golden_trace_test solver_test apps_test \
-    core_test integration_test spectra
+    core_test integration_test serve_test spectra
 "$SMOKE/tests/obs_test"
 "$SMOKE/tests/fleet_test"
 "$SMOKE/tests/predict_test"
@@ -270,6 +272,7 @@ cmake --build "$SMOKE" -j "$(nproc)" --target obs_test fleet_test \
 "$SMOKE/tests/apps_test"
 "$SMOKE/tests/core_test"
 "$SMOKE/tests/integration_test"
+"$SMOKE/tests/serve_test"
 "$SMOKE/src/cli/spectra" scenarios >/dev/null
 # 10k-client multi-island fleet under ASan: the SoA client store, the
 # per-island tick arenas, and the admission cookie/metadata slot reuse at

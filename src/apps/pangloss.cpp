@@ -10,35 +10,11 @@ namespace {
 const std::array<const char*, 4> kComponentNames = {"ebmt", "gloss", "dict",
                                                     "lm"};
 
-// Feature names of one component, interned once per process: the solver
-// maps every candidate, so no name may be built or looked up per call.
-struct ComponentFeatures {
-  util::Symbol engine;    // discrete: fidelity flag (engines only)
-  util::Symbol local_w;   // words, component runs locally
-  util::Symbol remote_w;  // words, component runs remotely
-  util::Symbol remote_i;  // 1, component runs remotely (per-call overhead)
-};
-
-const std::array<ComponentFeatures, 4>& component_features() {
-  static const std::array<ComponentFeatures, 4> names = [] {
-    std::array<ComponentFeatures, 4> out;
-    for (std::size_t c = 0; c < out.size(); ++c) {
-      const std::string name = kComponentNames[c];
-      out[c] = {util::Symbol(name), util::Symbol(name + "_local_w"),
-                util::Symbol(name + "_remote_w"),
-                util::Symbol(name + "_remote_i")};
-    }
-    return out;
-  }();
-  return names;
-}
-
-// The components in name order (dict, ebmt, gloss, lm): the feature hook
-// emits in this order so that every insert appends.
-constexpr std::array<int, 4> kNameOrder = {PanglossApp::kDict,
-                                           PanglossApp::kEbmt,
-                                           PanglossApp::kGloss,
-                                           PanglossApp::kLm};
+// Each component's rank in name order (dict, ebmt, gloss, lm): an engine's
+// discrete slot, and the first of the component's three continuous slots
+// at 3 * rank, which hold its _local_w, _remote_i and _remote_w features.
+constexpr std::array<std::size_t, 4> kNameRank = {1, 2, 0, 3};
+enum : std::size_t { kLocalW, kRemoteI, kRemoteW };
 }  // namespace
 
 void PanglossApp::install_files(fs::FileServer& server) const {
@@ -116,26 +92,32 @@ solver::Alternative PanglossApp::canonical(const solver::Alternative& alt) {
   return c;
 }
 
+predict::FeatureSchema PanglossApp::feature_schema() {
+  return {{"dict", "ebmt", "gloss"},
+          {"dict_local_w", "dict_remote_i", "dict_remote_w", "ebmt_local_w",
+           "ebmt_remote_i", "ebmt_remote_w", "gloss_local_w", "gloss_remote_i",
+           "gloss_remote_w", "lm_local_w", "lm_remote_i", "lm_remote_w"}};
+}
+
 void PanglossApp::features(const solver::Alternative& alt,
-                           const predict::FeatureMap& params,
+                           const predict::FeatureSlots& params,
                            predict::FeatureVector& f) {
-  static const util::Symbol kWords("words");
-  const auto& names = component_features();
-  const double words = params.at(kWords);
+  SPECTRA_REQUIRE(params.has(0), "pangloss needs its words parameter");
+  const double words = params[0];
   // Discrete: the fidelity subset only — the file predictor needs to know
   // which engines (and hence which data files) are in play, while demand is
-  // generalized across placements by the continuous features below. Both
-  // maps are filled in name order, so every insert appends.
-  for (const int c : kNameOrder) {
-    if (c != kLm) f.discrete[names[c].engine] = alt.fidelity[c];
+  // generalized across placements by the continuous features below.
+  for (int c = kEbmt; c <= kDict; ++c) {
+    f.discrete.set(kNameRank[c], alt.fidelity[c]);
   }
-  for (const int c : kNameOrder) {
+  for (int c = 0; c <= kLm; ++c) {
     if (!component_enabled(alt, c)) continue;
+    const std::size_t first = 3 * kNameRank[c];
     if (component_remote(alt, c)) {
-      f.continuous[names[c].remote_i] = 1.0;
-      f.continuous[names[c].remote_w] = words;
+      f.continuous.set(first + kRemoteI, 1.0);
+      f.continuous.set(first + kRemoteW, words);
     } else {
-      f.continuous[names[c].local_w] = words;
+      f.continuous.set(first + kLocalW, words);
     }
   }
 }
@@ -154,7 +136,7 @@ void PanglossApp::register_op(core::SpectraClient& client) const {
   desc.fidelity_fn = [cfg](const std::vector<double>& f) {
     return fidelity_desirability(cfg, f);
   };
-  desc.feature_fn = &PanglossApp::features;
+  desc.feature_fn = {feature_schema(), &PanglossApp::features};
   client.register_fidelity(std::move(desc));
 }
 

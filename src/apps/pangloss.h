@@ -96,10 +96,11 @@ class PanglossApp {
   // identical alternatives (used to dedupe oracle enumeration).
   static solver::Alternative canonical(const solver::Alternative& alt);
 
-  // The paper's application-specific feature mapping (see file comment),
-  // added to `out` (the core::FeatureFn contract).
+  // The paper's application-specific feature mapping (see file comment):
+  // its feature names and its core::FeatureHook fill over `words`.
+  static predict::FeatureSchema feature_schema();
   static void features(const solver::Alternative& alt,
-                       const predict::FeatureMap& params,
+                       const predict::FeatureSlots& params,
                        predict::FeatureVector& out);
 
   void execute(core::SpectraClient& client, int words) const;

@@ -36,6 +36,32 @@ void check_alternative(const OperationDesc& desc,
   SPECTRA_REQUIRE(alt.fidelity.size() == desc.fidelities.size(),
                   "alternative needs one value per fidelity dimension");
 }
+
+// The default feature mapping of `desc`: plan, server and each fidelity
+// dimension are discrete features, the input parameters continuous ones.
+FeatureHook default_feature_hook(const OperationDesc& desc) {
+  std::vector<std::string> discrete = {"plan", "server"};
+  for (const auto& dim : desc.fidelities) discrete.push_back(dim.name);
+  FeatureHook hook{{discrete, desc.input_params}, nullptr};
+  std::vector<std::string>& names = hook.schema.discrete;
+  std::sort(names.begin(), names.end());
+  std::vector<std::size_t> slot;  // plan, server, each dimension
+  for (const auto& name : discrete) {
+    slot.push_back(std::lower_bound(names.begin(), names.end(), name) -
+                   names.begin());
+  }
+  hook.fill = [slot](const solver::Alternative& alt,
+                     const predict::FeatureSlots& params,
+                     predict::FeatureVector& out) {
+    out.discrete.set(slot[0], alt.plan);
+    if (alt.server >= 0) out.discrete.set(slot[1], alt.server);
+    for (std::size_t d = 0; d < alt.fidelity.size(); ++d) {
+      out.discrete.set(slot[2 + d], alt.fidelity[d]);
+    }
+    out.continuous = params;
+  };
+  return hook;
+}
 }  // namespace
 
 SpectraClient::SpectraClient(MachineId id, sim::Engine& engine,
@@ -180,6 +206,15 @@ void SpectraClient::register_fidelity(OperationDesc desc) {
   SPECTRA_REQUIRE(ops_.count(desc.name) == 0,
                   "operation already registered: " + desc.name);
 
+  if (desc.feature_fn.fill == nullptr) {
+    desc.feature_fn = default_feature_hook(desc);
+  }
+  predict::FeatureSchema& schema = desc.feature_fn.schema;
+  for (const auto* names :
+       {&desc.input_params, &schema.discrete, &schema.continuous}) {
+    predict::check_feature_names(*names, desc.name);
+  }
+
   machine_.run_cycles(config_.register_cycles);
 
   RegisteredOp op{desc, predict::OperationModel(config_.model), nullptr, 0,
@@ -191,34 +226,21 @@ void SpectraClient::register_fidelity(OperationDesc desc) {
                          desc.latency_fn, desc.fidelity_fn);
   // Bootstrap the models from the persistent usage log (§3.4).
   for (const auto& record : usage_log_.for_operation(desc.name)) {
-    op.model.replay(record);
+    op.model.replay(op.desc.feature_fn.schema, record);
   }
   ops_.emplace(desc.name, std::move(op));
 }
 
 void SpectraClient::make_features(const RegisteredOp& op,
                                   const solver::Alternative& alt,
-                                  const predict::FeatureMap& params,
+                                  const predict::FeatureSlots& params,
                                   util::Symbol data_tag,
                                   predict::FeatureVector& out) const {
-  out.discrete.clear();
-  out.continuous.clear();
+  const FeatureHook& hook = op.desc.feature_fn;
+  out.discrete.reset(hook.schema.discrete.size());
+  out.continuous.reset(hook.schema.continuous.size());
   out.data_tag = data_tag;
-  if (op.desc.feature_fn != nullptr) {
-    op.desc.feature_fn(alt, params, out);
-    return;
-  }
-  // Interned once per process; candidate evaluation re-enters this per
-  // alternative, so the names must not round-trip through the interner's
-  // hash table every time.
-  static const util::Symbol kPlan("plan");
-  static const util::Symbol kServer("server");
-  out.discrete[kPlan] = static_cast<double>(alt.plan);
-  if (alt.server >= 0) out.discrete[kServer] = static_cast<double>(alt.server);
-  for (std::size_t d = 0; d < alt.fidelity.size(); ++d) {
-    out.discrete[op.fidelity_names[d]] = alt.fidelity[d];
-  }
-  out.continuous = params;
+  hook.fill(alt, params, out);
 }
 
 const predict::DemandEstimate& SpectraClient::cached_demand(
@@ -246,7 +268,7 @@ const predict::DemandEstimate& SpectraClient::cached_demand(
 
 double SpectraClient::evaluate(const RegisteredOp& op,
                                const solver::Alternative& alt,
-                               const predict::FeatureMap& params,
+                               const predict::FeatureSlots& params,
                                util::Symbol data_tag,
                                const solver::EstimatorInputs& inputs) {
   Candidate& c = candidate_;
@@ -269,7 +291,7 @@ double SpectraClient::evaluate(const RegisteredOp& op,
 }
 
 OperationChoice SpectraClient::choose(RegisteredOp& op,
-                                      const predict::FeatureMap& params,
+                                      const predict::FeatureSlots& params,
                                       util::Symbol data_tag) {
   OperationChoice choice;
   const double wall_t0 = wall_now();
@@ -464,7 +486,7 @@ OperationChoice SpectraClient::choose(RegisteredOp& op,
 }
 
 void SpectraClient::start_execution(RegisteredOp& op,
-                                    const predict::FeatureMap& params,
+                                    const predict::FeatureSlots& params,
                                     util::Symbol data_tag,
                                     OperationChoice choice,
                                     bool allow_fallback) {
@@ -559,14 +581,13 @@ OperationChoice SpectraClient::begin_fidelity_op(
     const std::string& data_tag) {
   SPECTRA_REQUIRE(!active_, "an operation is already in progress");
   RegisteredOp& op = registered(op_name);
-  // Parameter names and the data tag are interned once per call, not once
-  // per candidate.
-  const predict::FeatureMap interned_params(params);
+  const predict::FeatureSlots slots = predict::to_slots(
+      op.desc.input_params, params, op_name, "input parameter");
+  // The data tag is interned once per call, not once per candidate.
   const util::Symbol tag(data_tag);
-  OperationChoice choice = choose(op, interned_params, tag);
+  OperationChoice choice = choose(op, slots, tag);
   if (choice.ok) {
-    start_execution(op, interned_params, tag, choice,
-                    /*allow_fallback=*/true);
+    start_execution(op, slots, tag, choice, /*allow_fallback=*/true);
   }
   return active_ ? active_->choice : choice;
 }
@@ -577,14 +598,15 @@ OperationChoice SpectraClient::begin_fidelity_op_forced(
   SPECTRA_REQUIRE(!active_, "an operation is already in progress");
   RegisteredOp& op = registered(op_name);
   check_alternative(op.desc, alternative);
+  const predict::FeatureSlots slots = predict::to_slots(
+      op.desc.input_params, params, op_name, "input parameter");
   OperationChoice choice;
   choice.ok = true;
   choice.from_model = false;
   choice.alternative = alternative;
-  const predict::FeatureMap interned_params(params);
   // Forced runs measure a specific alternative: no graceful degradation,
   // the requested alternative either runs or the failure propagates.
-  start_execution(op, interned_params, util::Symbol(data_tag), choice,
+  start_execution(op, slots, util::Symbol(data_tag), choice,
                   /*allow_fallback=*/false);
   return active_->choice;
 }
@@ -854,10 +876,8 @@ monitor::OperationUsage SpectraClient::end_fidelity_op() {
   learned.rpcs = std::max(0, learned.rpcs - active_->failed_usage.rpcs);
   op.model.observe(active_->features, learned);
   ++op.executions;
-  predict::UsageRecord record = predict::UsageRecord::from_usage(
-      active_->name, active_->features, learned);
-  // Merge accesses as the model sees them.
-  usage_log_.append(std::move(record));
+  usage_log_.append(predict::UsageRecord::from_usage(
+      active_->name, op.desc.feature_fn.schema, active_->features, learned));
 
   if (config_.obs != nullptr) {
     const OperationChoice& c = active_->choice;
@@ -940,9 +960,10 @@ predict::DemandEstimate SpectraClient::predict_demand(
     const std::string& data_tag, const solver::Alternative& alt) const {
   const RegisteredOp& r = registered(op);
   check_alternative(r.desc, alt);
-  const predict::FeatureMap interned_params(params);
+  const predict::FeatureSlots slots =
+      predict::to_slots(r.desc.input_params, params, op, "input parameter");
   predict::FeatureVector features;
-  make_features(r, alt, interned_params, util::Symbol(data_tag), features);
+  make_features(r, alt, slots, util::Symbol(data_tag), features);
   predict::DemandEstimate demand;
   r.model.predict(features, demand);
   return demand;

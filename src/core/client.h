@@ -116,30 +116,34 @@ struct SpectraClientConfig {
 // structure (Pangloss-Lite's per-engine placement) override this — the
 // paper's application-specific-predictor hook (§3.4).
 //
-// The hook adds the features of `alt` to `out`, which the client owns and
-// reuses for every candidate of a decision; the client empties both maps
-// (keeping their storage) and sets out.data_tag before each call.
-// Parameter names arrive interned once per call, so a hook that keeps its
-// own feature names in static Symbols allocates nothing and looks up no
-// string per candidate.
-using FeatureFn =
-    std::function<void(const solver::Alternative& alt,
-                       const predict::FeatureMap& params,
-                       predict::FeatureVector& out)>;
+// `schema` names the features, one strictly ascending list per kind of at
+// most predict::kMaxFeatureSlots; slot i of a kind is entry i of its list.
+// `fill` sets the features of `alt` in `out`, which the client owns and
+// reuses for every candidate: before each call the client resets both
+// kinds to the schema's slots, all absent, and sets out.data_tag. `params`
+// holds the begin parameters by slot of OperationDesc::input_params. An
+// operation registered without `fill` gets the default mapping's hook.
+struct FeatureHook {
+  predict::FeatureSchema schema;
+  std::function<void(const solver::Alternative& alt,
+                     const predict::FeatureSlots& params,
+                     predict::FeatureVector& out)>
+      fill;
+};
 
 struct OperationDesc {
   std::string name;
   std::vector<solver::PlanInfo> plans;
   std::vector<solver::FidelityDimension> fidelities;
-  // Names of the continuous input parameters (documentation; the values
-  // arrive at begin_fidelity_op).
+  // The input parameters a begin may name, strictly ascending (at most
+  // predict::kMaxFeatureSlots); a begin naming another one is refused.
   std::vector<std::string> input_params;
   solver::LatencyFn latency_fn;
   solver::FidelityFn fidelity_fn;
   // Optional application-specific utility override (§3.6).
   std::shared_ptr<solver::UtilityFunction> utility;
   // Optional application-specific feature mapping (§3.4).
-  FeatureFn feature_fn;
+  FeatureHook feature_fn;
 };
 
 // Per-alternative record of one decision, captured when the client's
@@ -319,7 +323,7 @@ class SpectraClient {
     // Kept so features can be recomputed if the operation degrades to a
     // different alternative mid-flight (the model must learn from what
     // actually ran).
-    predict::FeatureMap params;
+    predict::FeatureSlots params;
     util::Symbol data_tag;
     // Model-driven operations may fall back when their chosen alternative
     // fails; forced (measurement-harness) runs must execute exactly the
@@ -335,22 +339,21 @@ class SpectraClient {
 
   RegisteredOp& registered(const std::string& op);
   const RegisteredOp& registered(const std::string& op) const;
-  // Fill `out` with the features of `alt`: the application's hook when it
-  // registered one, else the default mapping.
+  // Fill `out` with the features of `alt` through the operation's hook.
   void make_features(const RegisteredOp& op, const solver::Alternative& alt,
-                     const predict::FeatureMap& params, util::Symbol data_tag,
-                     predict::FeatureVector& out) const;
+                     const predict::FeatureSlots& params,
+                     util::Symbol data_tag, predict::FeatureVector& out) const;
   // The one candidate evaluation, shared by the solver's callback, the
   // winner's report and the failover ranking: features -> per-solve cached
   // demand -> estimate -> health penalty -> log-utility. Fills candidate_
   // and returns the log-utility, kInfeasible when the estimator cannot
   // price `alt`. `op.space` must hold the candidate servers.
   double evaluate(const RegisteredOp& op, const solver::Alternative& alt,
-                  const predict::FeatureMap& params, util::Symbol data_tag,
+                  const predict::FeatureSlots& params, util::Symbol data_tag,
                   const solver::EstimatorInputs& inputs);
-  OperationChoice choose(RegisteredOp& op, const predict::FeatureMap& params,
+  OperationChoice choose(RegisteredOp& op, const predict::FeatureSlots& params,
                          util::Symbol data_tag);
-  void start_execution(RegisteredOp& op, const predict::FeatureMap& params,
+  void start_execution(RegisteredOp& op, const predict::FeatureSlots& params,
                        util::Symbol data_tag, OperationChoice choice,
                        bool allow_fallback);
   // Failover path for do_remote_op after retries are exhausted. With
@@ -401,7 +404,7 @@ class SpectraClient {
   // vector within a single decision (the winner's recompute and any
   // repeated candidate evaluations hit it). Emptied at the start of every
   // solve, but its entries are slots kept across solves: a miss overwrites
-  // the next slot in place, reusing the storage of its feature maps and
+  // the next slot in place, reusing the storage of its feature values and
   // file list. `demand_order_` indexes the live slots sorted by feature
   // hash (structural equality breaks the rare hash tie); a solve sees a few
   // dozen distinct vectors, too few to pay for a hash map's bucket array in

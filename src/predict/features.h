@@ -11,131 +11,113 @@
 //     (e.g. the Latex document); enables data-specific models kept in an
 //     LRU cache.
 //
-// Feature maps are flat vectors of (interned name, value) pairs kept in
-// name order — iteration order is byte-identical to the std::map
-// representation they replaced, while lookups compare integer ids and the
-// map's hash is memoized so predictor bins key on integers, not strings.
+// An operation declares its feature names once, when it registers: one
+// strictly ascending list per kind (a FeatureSchema). From then on a
+// feature is a slot, its index in that list, and names are read again only
+// at the usage log's boundary. Since slots ascend with names, slot order is
+// the name order every float sum and every serialized byte follows.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "util/assert.h"
 #include "util/interner.h"
 
 namespace spectra::predict {
 
-// Flat name-sorted feature map. Small (a handful of entries), so id
-// lookups scan linearly. An insert of a name that sorts after every entry
-// appends after one compare; any other name binary-searches the views.
-class FeatureMap {
+// A kind of feature has at most this many slots, one bit each of a mask.
+inline constexpr std::size_t kMaxFeatureSlots = 64;
+
+// The values of one kind of feature, by slot. The presence mask tells an
+// absent feature from one set to 0; an absent slot holds exactly 0.0, so
+// equal (mask, values) pairs are equal features.
+class FeatureSlots {
  public:
-  struct Entry {
-    util::Symbol name;
-    double value = 0.0;
-  };
-
-  FeatureMap() = default;
-  FeatureMap(std::initializer_list<std::pair<std::string_view, double>> init) {
-    for (const auto& [name, value] : init) (*this)[util::Symbol(name)] = value;
+  // Every one of `slots` slots absent. Keeps the storage, so a vector
+  // refilled per candidate allocates nothing once it has held its schema.
+  void reset(std::size_t slots) {
+    present_ = 0;
+    values_.assign(slots, 0.0);
   }
-  // Interns every name of `m` (once, so later copies compare ids only).
-  explicit FeatureMap(const std::map<std::string, double>& m) { *this = m; }
-  FeatureMap& operator=(const std::map<std::string, double>& m) {
-    entries_.clear();
-    entries_.reserve(m.size());
-    for (const auto& [name, value] : m) {  // already name-sorted
-      entries_.push_back({util::Symbol(name), value});
-    }
-    hash_valid_ = false;
-    return *this;
+  void set(std::size_t slot, double value) {
+    present_ |= std::uint64_t{1} << slot;
+    values_[slot] = value;
   }
 
-  // Insert-or-find, keeping name order. Invalidates the memoized hash —
-  // callers write through the returned reference immediately. A hook that
-  // emits its features in name order never searches.
-  double& operator[](util::Symbol name) {
-    hash_valid_ = false;
-    if (entries_.empty() || entries_.back().name.view() < name.view()) {
-      return entries_.emplace_back(Entry{name, 0.0}).value;
-    }
-    return find_or_insert(name);
-  }
+  bool has(std::size_t slot) const { return ((present_ >> slot) & 1u) != 0; }
+  // The slot's value; 0.0 when absent.
+  double operator[](std::size_t slot) const { return values_[slot]; }
+  std::uint64_t present() const { return present_; }
+  bool empty() const { return present_ == 0; }
 
-  // Lookup by id; null when absent.
-  const double* find(util::Symbol name) const {
-    for (const auto& e : entries_) {
-      if (e.name == name) return &e.value;
-    }
-    return nullptr;
-  }
-  double at(util::Symbol name) const;
-  std::size_t count(util::Symbol name) const {
-    return find(name) != nullptr ? 1u : 0u;
-  }
+  friend bool operator==(const FeatureSlots&, const FeatureSlots&) = default;
 
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-  // Drop every entry but keep the storage, so a map refilled per candidate
-  // allocates nothing once it has held its largest feature set.
-  void clear() {
-    entries_.clear();
-    hash_valid_ = false;
-  }
-  // Iteration is in name order (run-stable); ids must never drive order.
-  auto begin() const { return entries_.begin(); }
-  auto end() const { return entries_.end(); }
-
-  // Structural equality: same names (ids) and values in the same order.
-  friend bool operator==(const FeatureMap& a, const FeatureMap& b) {
-    if (a.entries_.size() != b.entries_.size()) return false;
-    for (std::size_t i = 0; i < a.entries_.size(); ++i) {
-      if (a.entries_[i].name != b.entries_[i].name ||
-          a.entries_[i].value != b.entries_[i].value) {
-        return false;
-      }
-    }
-    return true;
-  }
-  friend bool operator!=(const FeatureMap& a, const FeatureMap& b) {
-    return !(a == b);
-  }
-
-  // Memoized content hash over (id, value) pairs — the integer bin key.
-  // Not stable across runs (ids are first-use-ordered); in-memory only.
+  // Content hash over the mask and the values' bits (the bin key).
   std::size_t hash() const;
 
  private:
-  double& find_or_insert(util::Symbol name);
-
-  std::vector<Entry> entries_;
-  mutable std::size_t hash_ = 0;
-  mutable bool hash_valid_ = false;
+  std::uint64_t present_ = 0;
+  std::vector<double> values_;
 };
 
-struct FeatureMapHash {
-  std::size_t operator()(const FeatureMap& m) const { return m.hash(); }
+struct FeatureSlotsHash {
+  std::size_t operator()(const FeatureSlots& s) const { return s.hash(); }
 };
 
 struct FeatureVector {
-  FeatureMap discrete;
-  FeatureMap continuous;
+  FeatureSlots discrete;
+  FeatureSlots continuous;
   util::Symbol data_tag;
 
-  friend bool operator==(const FeatureVector& a, const FeatureVector& b) {
-    return a.data_tag == b.data_tag && a.discrete == b.discrete &&
-           a.continuous == b.continuous;
-  }
+  friend bool operator==(const FeatureVector&,
+                         const FeatureVector&) = default;
 
   // Combined hash of all three parts (the per-solve demand-cache key).
   std::size_t hash() const;
 };
 
-struct FeatureVectorHash {
-  std::size_t operator()(const FeatureVector& f) const { return f.hash(); }
+// The feature names of one operation: slot i of a kind is its list's
+// entry i.
+struct FeatureSchema {
+  std::vector<std::string> discrete;
+  std::vector<std::string> continuous;
 };
+
+// Refuses (ContractError) a name list of operation `op` that is not
+// strictly ascending or holds more than kMaxFeatureSlots names.
+void check_feature_names(const std::vector<std::string>& names,
+                         std::string_view op);
+
+// Features by name: (name, value) pairs in name order.
+using NamedFeatures = std::vector<std::pair<std::string, double>>;
+
+// The (name, value) pairs of `named` by slot of `names`. Refuses
+// (ContractError) a name the list does not declare, as a `kind` operation
+// `op` lacks.
+template <typename Named = std::map<std::string, double>>
+FeatureSlots to_slots(const std::vector<std::string>& names,
+                      const Named& named, std::string_view op,
+                      std::string_view kind) {
+  FeatureSlots out;
+  out.reset(names.size());
+  for (const auto& [name, value] : named) {
+    const auto it = std::lower_bound(names.begin(), names.end(), name);
+    SPECTRA_REQUIRE(it != names.end() && *it == name,
+                    std::string(op) + " declares no " + std::string(kind) +
+                        " '" + name + "'");
+    out.set(static_cast<std::size_t>(it - names.begin()), value);
+  }
+  return out;
+}
+
+// The present slots of `slots`, by their names in `names`.
+NamedFeatures to_named(const std::vector<std::string>& names,
+                       const FeatureSlots& slots);
 
 }  // namespace spectra::predict

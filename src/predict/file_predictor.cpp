@@ -43,27 +43,25 @@ void FileAccessPredictor::update_bin(
 }
 
 void FileAccessPredictor::add(const FeatureVector& f,
-                              const std::vector<fs::Access>& accesses) {
-  // Dedup to max size per path, sorted by path name (the merge order).
+                              const std::vector<fs::Access>& local,
+                              const std::vector<fs::Access>& remote) {
+  // Sorted by path name (the merge order), first access of each path kept.
   std::vector<std::pair<util::Symbol, util::Bytes>> accessed;
-  accessed.reserve(accesses.size());
-  for (const auto& a : accesses) {
-    accessed.emplace_back(util::Symbol(a.path), a.size);
-  }
-  std::sort(accessed.begin(), accessed.end(),
-            [](const auto& a, const auto& b) {
-              return a.first.view() < b.first.view();
-            });
-  std::size_t n = 0;
-  for (std::size_t k = 0; k < accessed.size(); ++k) {
-    if (n > 0 && accessed[n - 1].first == accessed[k].first) {
-      accessed[n - 1].second =
-          std::max(accessed[n - 1].second, accessed[k].second);
-    } else {
-      accessed[n++] = accessed[k];
+  accessed.reserve(local.size() + remote.size());
+  for (const auto* list : {&local, &remote}) {
+    for (const auto& a : *list) {
+      accessed.emplace_back(util::Symbol(a.path), a.size);
     }
   }
-  accessed.resize(n);
+  std::stable_sort(accessed.begin(), accessed.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first.view() < b.first.view();
+                   });
+  accessed.erase(std::unique(accessed.begin(), accessed.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 accessed.end());
   auto touch = [&](BinSet& set) {
     update_bin(set.bins[f.discrete], accessed);
     update_bin(set.generic, accessed);

@@ -20,7 +20,6 @@
 // path-lexicographic order as the std::map representation it replaced.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,8 +50,10 @@ class FileAccessPredictor {
  public:
   explicit FileAccessPredictor(FilePredictorConfig config = {});
 
-  // Record the set of files one execution accessed (local + remote).
-  void add(const FeatureVector& f, const std::vector<fs::Access>& accesses);
+  // Record the files one execution accessed, `local` then `remote`; a path
+  // accessed more than once counts once, at its first access's size.
+  void add(const FeatureVector& f, const std::vector<fs::Access>& local,
+           const std::vector<fs::Access>& remote = {});
 
   // Files the next execution with these features is likely to access,
   // written over `out` (its storage is reused).
@@ -76,7 +77,7 @@ class FileAccessPredictor {
     double updates = 0.0;
   };
   struct BinSet {
-    std::unordered_map<FeatureMap, Bin, FeatureMapHash> bins;
+    std::unordered_map<FeatureSlots, Bin, FeatureSlotsHash> bins;
     Bin generic;
   };
 

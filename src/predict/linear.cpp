@@ -1,6 +1,7 @@
 #include "predict/linear.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/assert.h"
@@ -17,40 +18,35 @@ RecencyLinear::RecencyLinear(double decay, std::size_t responses)
   SPECTRA_REQUIRE(responses > 0, "a model needs at least one response");
 }
 
-void RecencyLinear::grow(const FeatureMap& continuous) {
+void RecencyLinear::add(const FeatureSlots& continuous, const double* y) {
   // Samples may carry different feature subsets (a missing feature means
   // zero); grow the sufficient statistics when a new feature appears —
   // zero-padding is exact because every earlier sample had value 0 for it.
-  // Iteration is in name order, so names_ keeps the same first-seen order
-  // as with the old std::map representation.
-  const std::size_t old_d = dim();
-  for (const auto& e : continuous) {
-    if (std::find(names_.begin(), names_.end(), e.name) == names_.end()) {
-      names_.push_back(e.name);
+  // A sample's new slots join in ascending slot order, which is name order.
+  std::uint64_t fresh = continuous.present() & ~seen_;
+  if (fresh != 0) {
+    const std::size_t old_d = dim();
+    seen_ |= fresh;
+    for (; fresh != 0; fresh &= fresh - 1) {
+      cols_.push_back(static_cast<std::uint8_t>(std::countr_zero(fresh)));
     }
+    const std::size_t d = dim();
+    std::vector<double> xtx(d * d, 0.0);
+    for (std::size_t i = 0; i < old_d; ++i) {
+      std::copy_n(xtx_.begin() + i * old_d, old_d, xtx.begin() + i * d);
+    }
+    xtx_.swap(xtx);
+    xty_.resize(d * responses_, 0.0);  // new rows last, as in x
   }
-  const std::size_t d = dim();
-  if (d == old_d) return;
-  std::vector<double> xtx(d * d, 0.0);
-  for (std::size_t i = 0; i < old_d; ++i) {
-    std::copy_n(xtx_.begin() + i * old_d, old_d, xtx.begin() + i * d);
-  }
-  xtx_.swap(xtx);
-  xty_.resize(d * responses_, 0.0);  // new rows last, as in x
-}
-
-void RecencyLinear::add(const FeatureMap& continuous, const double* y) {
-  grow(continuous);
-  // x = [1, features in names_ order]; a feature absent from this sample
-  // contributes zero.
+  // x = [1, features in column order]; a feature absent from this sample
+  // reads 0.
   const std::size_t d = dim();
   const std::size_t k_count = responses_;
   thread_local std::vector<double> x;
-  x.assign(d, 0.0);
+  x.resize(d);
   x[0] = 1.0;
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    const double* v = continuous.find(names_[i]);
-    if (v != nullptr) x[i + 1] = *v;
+  for (std::size_t i = 0; i < cols_.size(); ++i) {
+    x[i + 1] = continuous[cols_[i]];
   }
   for (std::size_t i = 0; i < d; ++i) {
     double* row = &xtx_[i * d];
@@ -79,10 +75,11 @@ bool RecencyLinear::solve(std::vector<double>& beta) const {
   if (samples_ < d + 1) return false;
   // Gaussian elimination with ridge regularization scaled to the trace so
   // that collinear histories (e.g. every sample at the same parameter
-  // value) degrade gracefully instead of exploding. `a` is a copy of xtx_
-  // in a flat buffer reused across solves on this thread. The pivots and
-  // row multipliers depend on X'X alone, so each response's right-hand
-  // side sees exactly the operations of a single-response solve.
+  // value) degrade gracefully instead of exploding: X'X plus the ridge is
+  // positive definite, so a finite history has no zero pivot. `a` is a
+  // copy of xtx_ in a flat buffer reused across solves on this thread. The
+  // pivots and row multipliers depend on X'X alone, so each response's
+  // right-hand side sees exactly the operations of a single-response solve.
   thread_local std::vector<double> flat;
   flat.assign(xtx_.begin(), xtx_.end());
   const auto a = [&](std::size_t r, std::size_t c) -> double& {
@@ -101,7 +98,6 @@ bool RecencyLinear::solve(std::vector<double>& beta) const {
     for (std::size_t r = col + 1; r < d; ++r) {
       if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
     }
-    if (std::abs(a(pivot, col)) < 1e-12) return false;
     if (pivot != col) {
       std::swap_ranges(flat.begin() + col * d, flat.begin() + (col + 1) * d,
                        flat.begin() + pivot * d);
@@ -128,13 +124,14 @@ bool RecencyLinear::solved_beta(const std::vector<double>** beta) const {
   return solve_cache_ == SolveCache::kSolved;
 }
 
-void RecencyLinear::predict(const FeatureMap& continuous, double* out) const {
+void RecencyLinear::predict(const FeatureSlots& continuous,
+                            double* out) const {
   SPECTRA_REQUIRE(!empty(), "predict on an untrained model");
   const std::size_t k_count = responses_;
   const std::vector<double>* beta = nullptr;
-  const bool fitted = !names_.empty() && solved_beta(&beta);
+  const bool fitted = !cols_.empty() && solved_beta(&beta);
   if (fitted) {
-    // y = β₀·1 + Σ βᵢ·xᵢ over x = [1, features in names_ order], summed in
+    // y = β₀·1 + Σ βᵢ·xᵢ over x = [1, features in column order], summed in
     // that order per response; a feature absent from `continuous`
     // contributes βᵢ·0.
     const double* b = beta->data();
@@ -142,9 +139,8 @@ void RecencyLinear::predict(const FeatureMap& continuous, double* out) const {
       out[k] = 0.0;
       out[k] += b[k] * 1.0;
     }
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-      const double* v = continuous.find(names_[i]);
-      const double xi = v != nullptr ? *v : 0.0;
+    for (std::size_t i = 0; i < cols_.size(); ++i) {
+      const double xi = continuous[cols_[i]];
       const double* bi = b + (i + 1) * k_count;
       for (std::size_t k = 0; k < k_count; ++k) out[k] += bi[k] * xi;
     }

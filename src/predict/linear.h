@@ -13,10 +13,10 @@
 // its own, so its predictions are bit-equal to that model's.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "predict/features.h"
-#include "util/interner.h"
 
 namespace spectra::predict {
 
@@ -27,13 +27,13 @@ class RecencyLinear {
   explicit RecencyLinear(double decay = 0.95, std::size_t responses = 1);
 
   // One sample: `y` holds responses() values.
-  void add(const FeatureMap& continuous, const double* y);
+  void add(const FeatureSlots& continuous, const double* y);
 
   // Prediction for the given continuous features, one value per response
   // written to `out`; a response falls back to its weighted mean when the
   // regression is not identifiable. Clamped to >= 0 (resource demands are
   // non-negative). Allocates nothing once the coefficients are solved.
-  void predict(const FeatureMap& continuous, double* out) const;
+  void predict(const FeatureSlots& continuous, double* out) const;
 
   std::size_t responses() const { return responses_; }
   double total_weight() const { return weight_; }
@@ -42,14 +42,11 @@ class RecencyLinear {
   // True when enough samples exist to identify the regression slopes (or
   // the model has no continuous features, so the mean is the full answer).
   bool identifiable() const {
-    return !empty() && samples_ >= names_.size() + 2;
+    return !empty() && samples_ >= cols_.size() + 2;
   }
 
  private:
-  std::size_t dim() const { return names_.size() + 1; }
-  // Adds the features of `continuous` not yet in names_, zero-padding the
-  // sufficient statistics.
-  void grow(const FeatureMap& continuous);
+  std::size_t dim() const { return cols_.size() + 1; }
   // Eliminates on one flat per-thread buffer, never on model-owned scratch:
   // every World clone copies the models, so scratch kept here would be
   // paid for by every parked session.
@@ -62,7 +59,10 @@ class RecencyLinear {
 
   double decay_;
   std::size_t responses_;
-  std::vector<util::Symbol> names_;  // fixed at first sample, name order
+  // The slot of each column, in the order the features first appeared (a
+  // sample's new ones in slot order), and the mask of those slots.
+  std::vector<std::uint8_t> cols_;
+  std::uint64_t seen_ = 0;
   // Sufficient statistics over x = [1, features...], d = dim():
   std::vector<double> xtx_;  // Σ w·x·xᵀ, d×d row-major
   std::vector<double> xty_;  // Σ w·x·y, d×K row-major (K responses)

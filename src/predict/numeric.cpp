@@ -13,12 +13,8 @@ NumericPredictor::NumericPredictor(NumericPredictorConfig config,
 void NumericPredictor::ModelSet::add(const FeatureVector& f,
                                      const double* y) {
   if (!f.discrete.empty()) {
-    auto it = bins.find(f.discrete);
-    if (it == bins.end()) {
-      it = bins.emplace(f.discrete, RecencyLinear(decay, generic.responses()))
-               .first;
-    }
-    it->second.add(f.continuous, y);
+    bins.try_emplace(f.discrete, decay, generic.responses())
+        .first->second.add(f.continuous, y);
   }
   generic.add(f.continuous, y);
 }

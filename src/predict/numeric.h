@@ -70,10 +70,8 @@ class NumericPredictor {
 
     double decay;
     double min_weight;
-    // Keyed by the discrete feature combination itself: integer-id
-    // equality and a memoized hash — no bin-key string is ever built on
-    // the lookup path.
-    std::unordered_map<FeatureMap, RecencyLinear, FeatureMapHash> bins;
+    // Keyed by the discrete feature combination itself, mask and values.
+    std::unordered_map<FeatureSlots, RecencyLinear, FeatureSlotsHash> bins;
     RecencyLinear generic;
   };
 

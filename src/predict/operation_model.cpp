@@ -8,21 +8,34 @@ OperationModel::OperationModel(OperationModelConfig config)
       energy_(config.numeric),
       files_(config.file) {}
 
-void OperationModel::observe(const FeatureVector& f,
-                             const monitor::OperationUsage& usage) {
-  UsageRecord r = UsageRecord::from_usage("", f, usage);
-  replay(r);
+template <typename Usage>
+void OperationModel::learn(const FeatureVector& f, const Usage& u,
+                           const std::vector<fs::Access>& local,
+                           const std::vector<fs::Access>& remote) {
+  const double cycles[2] = {u.local_cycles, u.remote_cycles};
+  cycles_.add(f, cycles);
+  const double transport[3] = {u.bytes_sent, u.bytes_received,
+                               static_cast<double>(u.rpcs)};
+  transport_.add(f, transport);
+  // Energy samples polluted by concurrent operations are skipped (§3.3.3).
+  if (u.energy_valid) energy_.add(f, &u.energy);
+  files_.add(f, local, remote);
+  ++observations_;
 }
 
-void OperationModel::replay(const UsageRecord& r) {
-  const double cycles[2] = {r.local_cycles, r.remote_cycles};
-  cycles_.add(r.features, cycles);
-  const double transport[3] = {r.bytes_sent, r.bytes_received, r.rpcs};
-  transport_.add(r.features, transport);
-  // Energy samples polluted by concurrent operations are skipped (§3.3.3).
-  if (r.energy_valid) energy_.add(r.features, &r.energy);
-  files_.add(r.features, r.file_accesses);
-  ++observations_;
+void OperationModel::observe(const FeatureVector& f,
+                             const monitor::OperationUsage& u) {
+  learn(f, u, u.local_file_accesses, u.remote_file_accesses);
+}
+
+void OperationModel::replay(const FeatureSchema& schema,
+                            const UsageRecord& r) {
+  const FeatureVector f{
+      to_slots(schema.discrete, r.discrete, r.operation, "discrete feature"),
+      to_slots(schema.continuous, r.continuous, r.operation,
+               "continuous feature"),
+      r.data_tag};
+  learn(f, r, r.file_accesses, {});
 }
 
 void OperationModel::observe_failure(const FeatureVector& f,

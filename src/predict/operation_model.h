@@ -52,8 +52,9 @@ class OperationModel {
   void observe(const FeatureVector& features,
                const monitor::OperationUsage& usage);
 
-  // Replay a logged record (model bootstrap at registration time).
-  void replay(const UsageRecord& record);
+  // Replay a logged record (model bootstrap at registration time), its
+  // named features on the slots of `schema`, which must declare them all.
+  void replay(const FeatureSchema& schema, const UsageRecord& record);
 
   // Learn transport demand from an exhausted remote call: the bytes and
   // RPC attempts were really spent against that server's features even
@@ -74,9 +75,14 @@ class OperationModel {
   std::size_t observations() const { return observations_; }
   std::size_t failure_observations() const { return failure_observations_; }
 
-  const FileAccessPredictor& file_predictor() const { return files_; }
-
  private:
+  // One completed execution, from its measured usage or its logged record
+  // (both name the fields alike), with its file accesses.
+  template <typename Usage>
+  void learn(const FeatureVector& f, const Usage& u,
+             const std::vector<fs::Access>& local,
+             const std::vector<fs::Access>& remote);
+
   NumericPredictor cycles_;     // {local, remote}
   NumericPredictor transport_;  // {bytes sent, bytes received, RPCs}
   NumericPredictor energy_;

@@ -21,20 +21,20 @@ void check_token(const std::string& s) {
                   "token contains a reserved separator: " + s);
 }
 
-std::string join_map(const FeatureMap& m) {
+std::string join_map(const NamedFeatures& m) {
   std::ostringstream os;
   bool first = true;
-  for (const auto& e : m) {  // name order: byte-stable
-    check_token(e.name.str());
+  for (const auto& [name, value] : m) {  // name order: byte-stable
+    check_token(name);
     if (!first) os << ',';
-    os << e.name << '=' << e.value;
+    os << name << '=' << value;
     first = false;
   }
   return os.str();
 }
 
-std::map<std::string, double> parse_map(const std::string& s) {
-  std::map<std::string, double> out;  // sorted: FeatureMap assignment keeps order
+NamedFeatures parse_map(const std::string& s) {
+  std::map<std::string, double> out;  // name order, a repeated name's last
   std::istringstream is(s);
   std::string item;
   while (std::getline(is, item, ',')) {
@@ -42,7 +42,7 @@ std::map<std::string, double> parse_map(const std::string& s) {
     SPECTRA_REQUIRE(eq != std::string::npos, "malformed map entry: " + item);
     out[item.substr(0, eq)] = std::stod(item.substr(eq + 1));
   }
-  return out;
+  return {out.begin(), out.end()};
 }
 
 std::vector<std::string> split_fields(const std::string& line) {
@@ -56,11 +56,14 @@ std::vector<std::string> split_fields(const std::string& line) {
 }  // namespace
 
 UsageRecord UsageRecord::from_usage(const std::string& operation,
+                                    const FeatureSchema& schema,
                                     const FeatureVector& features,
                                     const monitor::OperationUsage& usage) {
   UsageRecord r;
   r.operation = operation;
-  r.features = features;
+  r.discrete = to_named(schema.discrete, features.discrete);
+  r.continuous = to_named(schema.continuous, features.continuous);
+  r.data_tag = features.data_tag.str();
   r.elapsed = usage.elapsed;
   r.local_cycles = usage.local_cycles;
   r.remote_cycles = usage.remote_cycles;
@@ -92,15 +95,14 @@ std::vector<UsageRecord> UsageLog::for_operation(
 
 std::string UsageLog::serialize(const UsageRecord& r) {
   check_token(r.operation);
-  check_token(r.features.data_tag.str());
+  check_token(r.data_tag);
   std::ostringstream os;
   os.precision(17);
-  os << r.operation << '\t' << join_map(r.features.discrete) << '\t'
-     << join_map(r.features.continuous) << '\t' << r.features.data_tag
-     << '\t' << r.elapsed << '\t' << r.local_cycles << '\t'
-     << r.remote_cycles << '\t' << r.bytes_sent << '\t' << r.bytes_received
-     << '\t' << r.rpcs << '\t' << r.energy << '\t'
-     << (r.energy_valid ? 1 : 0) << '\t';
+  os << r.operation << '\t' << join_map(r.discrete) << '\t'
+     << join_map(r.continuous) << '\t' << r.data_tag << '\t' << r.elapsed
+     << '\t' << r.local_cycles << '\t' << r.remote_cycles << '\t'
+     << r.bytes_sent << '\t' << r.bytes_received << '\t' << r.rpcs << '\t'
+     << r.energy << '\t' << (r.energy_valid ? 1 : 0) << '\t';
   bool first = true;
   for (const auto& a : r.file_accesses) {
     check_token(a.path);
@@ -117,9 +119,9 @@ UsageRecord UsageLog::deserialize(const std::string& line) {
   SPECTRA_REQUIRE(fields.size() >= 12, "malformed usage record: " + line);
   UsageRecord r;
   r.operation = fields[0];
-  r.features.discrete = parse_map(fields[1]);
-  r.features.continuous = parse_map(fields[2]);
-  r.features.data_tag = fields[3];
+  r.discrete = parse_map(fields[1]);
+  r.continuous = parse_map(fields[2]);
+  r.data_tag = fields[3];
   r.elapsed = std::stod(fields[4]);
   r.local_cycles = std::stod(fields[5]);
   r.remote_cycles = std::stod(fields[6]);

@@ -19,7 +19,10 @@ namespace spectra::predict {
 
 struct UsageRecord {
   std::string operation;
-  FeatureVector features;
+  // Features by name, as the log's text holds them.
+  NamedFeatures discrete;
+  NamedFeatures continuous;
+  std::string data_tag;
   double elapsed = 0.0;
   double local_cycles = 0.0;
   double remote_cycles = 0.0;
@@ -32,7 +35,9 @@ struct UsageRecord {
   // Merged local+remote accesses, deduplicated by path.
   std::vector<fs::Access> file_accesses;
 
+  // `features` are named through `schema`.
   static UsageRecord from_usage(const std::string& operation,
+                                const FeatureSchema& schema,
                                 const FeatureVector& features,
                                 const monitor::OperationUsage& usage);
 };

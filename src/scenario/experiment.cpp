@@ -398,6 +398,7 @@ core::OperationDesc null_op_desc() {
   desc.name = kNullOp;
   desc.plans = {{"local", false}, {"remote", true}};
   desc.fidelities = {{"level", {0.0, 1.0}}};
+  desc.input_params = {"x"};
   desc.latency_fn = solver::inverse_latency();
   desc.fidelity_fn = [](const std::vector<double>&) { return 1.0; };
   return desc;

@@ -269,7 +269,8 @@ using PanglossExperiment = Experiment<Pangloss>;
 
 // The Fig 10 null operation (also the daemon's nullop sessions and
 // micro_decision's testbed): a service answering 64 bytes, and an
-// operation with local/remote plans and one binary fidelity.
+// operation with local/remote plans, one binary fidelity and one optional
+// input parameter, `x`.
 inline constexpr const char* kNullOp = "null.op";
 // Install the null service on every server and on the client's local
 // server. World::clone copies no RPC handlers, so clones need this too.
@@ -277,9 +278,8 @@ void install_null_services(World& world);
 core::OperationDesc null_op_desc();
 
 // The null operation in the traits shape (for the daemon's nullop sessions
-// and micro_decision). Its begin parameters feed the decision as sent, and
-// it always executes locally, whatever the chosen plan: only the decision
-// cost is being measured.
+// and micro_decision). It always executes locally, whatever the chosen
+// plan: only the decision cost is being measured.
 struct NullOp {
   static constexpr const char* kName = "nullop";
   static constexpr const char* kOperation = kNullOp;

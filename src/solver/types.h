@@ -14,7 +14,6 @@
 
 #include "hw/machine.h"
 #include "util/assert.h"
-#include "util/interner.h"
 #include "util/units.h"
 
 namespace spectra::solver {
@@ -31,7 +30,7 @@ struct FidelityDimension {
   std::vector<double> values;
 };
 
-// The names of an operation's fidelity dimensions, interned once, when the
+// The names of an operation's fidelity dimensions, copied once, when the
 // operation registers. Text lists a setting's values by name, in name
 // order whatever the registration order.
 class FidelityNames {
@@ -39,18 +38,16 @@ class FidelityNames {
   FidelityNames() = default;
   explicit FidelityNames(const std::vector<FidelityDimension>& dims);
 
-  util::Symbol operator[](std::size_t d) const { return names_[d]; }
-
   // Calls visit(name, value) per dimension of `fidelity`, in name order.
   template <typename Visit>
   void for_each(const std::vector<double>& fidelity, Visit&& visit) const {
     SPECTRA_REQUIRE(fidelity.size() == names_.size(),
                     "fidelity setting does not match its dimensions");
-    for (const std::size_t d : by_name_) visit(names_[d].view(), fidelity[d]);
+    for (const std::size_t d : by_name_) visit(names_[d], fidelity[d]);
   }
 
  private:
-  std::vector<util::Symbol> names_;   // registration order
+  std::vector<std::string> names_;    // registration order
   std::vector<std::size_t> by_name_;  // dimension indices in name order
 };
 

@@ -14,8 +14,8 @@ namespace spectra::util {
 
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-// Seed of the fleet fingerprints and of FeatureMap's hash. Not the offset
-// basis (a digit short); kept because fleet fingerprints depend on it.
+// Seed of the fleet fingerprints and of FeatureSlots' bin-key hash. Not the
+// offset basis (a digit short); kept because fleet fingerprints use it.
 inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ull;
 
 // Fold the eight bytes of `v` (low byte first) into the accumulator.

@@ -1,6 +1,6 @@
 // Process-wide string interner for the decision hot path.
 //
-// Feature names, file paths, and data tags recur endlessly through the
+// File paths, data tags and server names recur endlessly through the
 // per-decision pipeline (snapshot → demand prediction → solver search →
 // utility evaluation). Interning maps each distinct string to a small
 // integer id once, so steady-state lookups compare and hash integers

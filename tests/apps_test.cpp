@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+
 #include "apps/janus.h"
 #include "apps/latex.h"
 #include "apps/pangloss.h"
@@ -258,19 +261,46 @@ TEST(PanglossTest, TimeScalesWithSentenceLength) {
   EXPECT_GT(large.elapsed, 3.0 * small.elapsed);
 }
 
+// A sentence of `words` as the hook's parameters (Pangloss declares one
+// input parameter, `words`, at slot 0).
+predict::FeatureSlots words_param(double words) {
+  return predict::to_slots({"words"}, {{"words", words}},
+                           PanglossApp::kOperation, "input parameter");
+}
+
+// One kind of the hook's features, rendered through its declared names.
+std::map<std::string, double> named(const std::vector<std::string>& names,
+                                    const predict::FeatureSlots& slots) {
+  const predict::NamedFeatures pairs = predict::to_named(names, slots);
+  return {pairs.begin(), pairs.end()};
+}
+
+// The hook's features of `alt`, written into `f` as the client does: both
+// kinds reset to the schema's slots first.
+void pangloss_features(const solver::Alternative& alt, double words,
+                       predict::FeatureVector& f) {
+  const predict::FeatureSchema schema = PanglossApp::feature_schema();
+  f.discrete.reset(schema.discrete.size());
+  f.continuous.reset(schema.continuous.size());
+  PanglossApp::features(alt, words_param(words), f);
+}
+
 TEST(PanglossTest, FeatureMappingEncodesPlacement) {
   const auto alt = PanglossApp::alternative(
       1 << PanglossApp::kEbmt, true, true, false, kServerA);
   predict::FeatureVector f;
-  PanglossApp::features(alt, {{"words", 12.0}}, f);
-  EXPECT_DOUBLE_EQ(f.continuous.at("ebmt_remote_w"), 12.0);
-  EXPECT_DOUBLE_EQ(f.continuous.at("ebmt_remote_i"), 1.0);
-  EXPECT_DOUBLE_EQ(f.continuous.at("gloss_local_w"), 12.0);
-  EXPECT_DOUBLE_EQ(f.continuous.at("lm_local_w"), 12.0);
-  EXPECT_EQ(f.continuous.count("dict_local_w"), 0u);  // disabled
+  pangloss_features(alt, 12.0, f);
+  const predict::FeatureSchema schema = PanglossApp::feature_schema();
+  const auto continuous = named(schema.continuous, f.continuous);
+  const auto discrete = named(schema.discrete, f.discrete);
+  EXPECT_DOUBLE_EQ(continuous.at("ebmt_remote_w"), 12.0);
+  EXPECT_DOUBLE_EQ(continuous.at("ebmt_remote_i"), 1.0);
+  EXPECT_DOUBLE_EQ(continuous.at("gloss_local_w"), 12.0);
+  EXPECT_DOUBLE_EQ(continuous.at("lm_local_w"), 12.0);
+  EXPECT_EQ(continuous.count("dict_local_w"), 0u);  // disabled
   // Discrete features carry the fidelity subset for the file predictor.
-  EXPECT_DOUBLE_EQ(f.discrete.at("ebmt"), 1.0);
-  EXPECT_DOUBLE_EQ(f.discrete.at("dict"), 0.0);
+  EXPECT_DOUBLE_EQ(discrete.at("ebmt"), 1.0);
+  EXPECT_DOUBLE_EQ(discrete.at("dict"), 0.0);
 }
 
 TEST(PanglossTest, EquivalentAlternativesShareFeatures) {
@@ -281,45 +311,51 @@ TEST(PanglossTest, EquivalentAlternativesShareFeatures) {
   raw.server = kServerA;
   raw.fidelity = {0.0, 1.0, 1.0};  // ebmt, gloss, dict
   predict::FeatureVector fa, fraw;
-  PanglossApp::features(a, {{"words", 5.0}}, fa);
-  PanglossApp::features(raw, {{"words", 5.0}}, fraw);
+  pangloss_features(a, 5.0, fa);
+  pangloss_features(raw, 5.0, fraw);
   EXPECT_EQ(fa.continuous, fraw.continuous);
   EXPECT_EQ(fa.discrete, fraw.discrete);
 }
 
-// The feature hook as it was before it emitted in name order: engine
+// The feature hook as it was when features were keyed by name: engine
 // flags read per use, maps filled ebmt, gloss, dict, lm with `_remote_w`
-// before `_remote_i`, every name interned per call.
-void reference_features(const solver::Alternative& alt,
-                        const predict::FeatureMap& params,
-                        predict::FeatureVector& f) {
+// before `_remote_i`, every name built per call.
+struct NamedFeatures {
+  std::map<std::string, double> discrete;
+  std::map<std::string, double> continuous;
+};
+
+NamedFeatures reference_features(const solver::Alternative& alt,
+                                 double words) {
   const std::array<const char*, 4> names = {"ebmt", "gloss", "dict", "lm"};
-  const double words = params.at(util::Symbol("words"));
+  NamedFeatures f;
   for (int c = 0; c < PanglossApp::kLm; ++c) {
-    f.discrete[util::Symbol(names[c])] = alt.fidelity.at(c);
+    f.discrete[names[c]] = alt.fidelity.at(c);
   }
   for (int c = 0; c <= PanglossApp::kLm; ++c) {
     if (c != PanglossApp::kLm && !(alt.fidelity.at(c) > 0.5)) continue;
     const std::string name = names[c];
     if ((alt.plan & (1 << c)) != 0) {
-      f.continuous[util::Symbol(name + "_remote_w")] = words;
-      f.continuous[util::Symbol(name + "_remote_i")] = 1.0;
+      f.continuous[name + "_remote_w"] = words;
+      f.continuous[name + "_remote_i"] = 1.0;
     } else {
-      f.continuous[util::Symbol(name + "_local_w")] = words;
+      f.continuous[name + "_local_w"] = words;
     }
   }
+  return f;
 }
 
 TEST(PanglossTest, FeatureHookMatchesReference) {
   // Every placement mask x engine subset (canonical or not, as the solver
   // enumerates them) on both servers, for the five test sentences. The
-  // hook's output vector is reused across calls, as the client does.
+  // hook's output vector is reused across calls, as the client does, and
+  // its slots are rendered through the declared schema.
+  const predict::FeatureSchema schema = PanglossApp::feature_schema();
   predict::FeatureVector got;
   const solver::FidelityNames names(
       {{"ebmt", {0.0, 1.0}}, {"gloss", {0.0, 1.0}}, {"dict", {0.0, 1.0}}});
   int compared = 0;
   for (const int words : {6, 10, 14, 38, 44}) {
-    const predict::FeatureMap params{{"words", static_cast<double>(words)}};
     for (const hw::MachineId server : {kServerA, kServerB}) {
       for (int mask = 0; mask < PanglossApp::kPlanCount; ++mask) {
         for (int engines = 0; engines < 8; ++engines) {
@@ -329,13 +365,13 @@ TEST(PanglossTest, FeatureHookMatchesReference) {
           alt.fidelity = {(engines & 1) != 0 ? 1.0 : 0.0,   // ebmt
                           (engines & 2) != 0 ? 1.0 : 0.0,   // gloss
                           (engines & 4) != 0 ? 1.0 : 0.0};  // dict
-          got.discrete.clear();
-          got.continuous.clear();
-          PanglossApp::features(alt, params, got);
-          predict::FeatureVector want;
-          reference_features(alt, params, want);
-          EXPECT_EQ(got, want) << alt.describe(names);
-          EXPECT_EQ(got.hash(), want.hash()) << alt.describe(names);
+          pangloss_features(alt, words, got);
+          const NamedFeatures want = reference_features(alt, words);
+          EXPECT_EQ(named(schema.discrete, got.discrete), want.discrete)
+              << alt.describe(names);
+          EXPECT_EQ(named(schema.continuous, got.continuous),
+                    want.continuous)
+              << alt.describe(names);
           ++compared;
         }
       }

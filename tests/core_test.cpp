@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <map>
 
 #include "apps/janus.h"
 #include "apps/pangloss.h"
@@ -14,6 +16,7 @@
 #include "scenario/experiment.h"
 #include "scenario/world.h"
 #include "util/assert.h"
+#include "util/interner.h"
 #include "util/units.h"
 
 namespace spectra::core {
@@ -578,6 +581,124 @@ TEST(SpectraClientTest, ForcedAlternativeWithWrongFidelityCountIsRefused) {
   EXPECT_TRUE(choice.ok);
   world->janus().execute(spectra, 2.0);
   EXPECT_GT(spectra.end_fidelity_op().elapsed, 0.0);
+}
+
+// A begin, a forced begin or a demand query that names a parameter the
+// operation does not declare is refused before it charges a cycle, draws
+// from an RNG or interns a name: the client stays idle, and the next
+// declared begin runs. (Each new name would otherwise become a regression
+// column and an interned string that is never freed.)
+TEST(SpectraClientTest, UndeclaredBeginParameterIsRefused) {
+  const scenario::SpeechExperiment experiment(
+      scenario::SpeechExperiment::Config{});
+  auto world = experiment.trained_world();
+  SpectraClient& spectra = world->spectra();
+  const std::string op = apps::JanusApp::kOperation;
+  const std::map<std::string, double> params{{"utt_len", 2.0},
+                                             {"utt_len_undeclared", 1.0}};
+  const solver::Alternative alt{apps::JanusApp::kPlanLocal, -1,
+                                {apps::JanusApp::kVocabFull}};
+  const std::vector<std::function<void()>> calls = {
+      [&] { spectra.begin_fidelity_op(op, params, "doc_undeclared"); },
+      [&] {
+        spectra.begin_fidelity_op_forced(op, params, "doc_undeclared", alt);
+      },
+      [&] { spectra.predict_demand(op, params, "doc_undeclared", alt); },
+  };
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const std::size_t interned = util::Interner::instance().size();
+    const double now = world->engine().now();
+    try {
+      calls[i]();
+      ADD_FAILURE() << "call " << i << " accepted an undeclared parameter";
+    } catch (const util::ContractError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(op), std::string::npos) << what;
+      EXPECT_NE(what.find("'utt_len_undeclared'"), std::string::npos)
+          << what;
+    }
+    EXPECT_FALSE(spectra.op_in_progress()) << i;
+    EXPECT_EQ(util::Interner::instance().size(), interned) << i;
+    EXPECT_EQ(world->engine().now(), now) << i;
+  }
+  const OperationChoice choice =
+      spectra.begin_fidelity_op(op, {{"utt_len", 2.0}});
+  EXPECT_TRUE(choice.ok);
+  world->janus().execute(spectra, 2.0);
+  EXPECT_GT(spectra.end_fidelity_op().elapsed, 0.0);
+}
+
+// Feature and parameter names are declared once, at registration, in
+// strictly ascending order and at most 64 per list; anything else is
+// refused, and nothing is registered.
+TEST(SpectraClientTest, RegistrationRefusesUnorderedOrOversizedNameLists) {
+  Rig rig;
+  const auto names = [](std::size_t n) {
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back("p" + std::to_string(100 + i));
+    }
+    return out;
+  };
+  const auto refused = [&](const OperationDesc& desc) {
+    EXPECT_THROW(rig.spectra->register_fidelity(desc), util::ContractError);
+    EXPECT_FALSE(rig.spectra->is_registered(desc.name));
+  };
+  OperationDesc bad = rig.work_op();
+  bad.input_params = {"size", "count"};
+  refused(bad);
+  bad.input_params = {"count", "count"};
+  refused(bad);
+  bad.input_params = names(65);
+  refused(bad);
+  // The default mapping's discrete names: plan, server and the fidelity
+  // dimensions, so a dimension may not be called "plan".
+  bad = rig.work_op();
+  bad.fidelities = {{"plan", {0.0, 1.0}}};
+  refused(bad);
+  // A hook's lists.
+  bad = rig.work_op();
+  bad.feature_fn = {{{"b", "a"}, {}}, [](const solver::Alternative&,
+                                         const predict::FeatureSlots&,
+                                         predict::FeatureVector&) {}};
+  refused(bad);
+  bad.feature_fn.schema = {{}, names(65)};
+  refused(bad);
+  OperationDesc ok = rig.work_op();
+  ok.input_params = names(64);
+  rig.spectra->register_fidelity(ok);
+  EXPECT_TRUE(rig.spectra->is_registered("work"));
+}
+
+// A logged record is mapped onto its operation's declared names when the
+// operation registers; one naming a feature the operation does not
+// declare is refused.
+TEST(SpectraClientTest, UsageLogRecordWithUndeclaredFeatureIsRefused) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "spectra_core_undeclared_log_test.txt";
+  predict::UsageLog log;
+  predict::UsageRecord record;
+  record.operation = "work";
+  record.discrete = {{"plan", 0.0}};
+  record.continuous = {{"size", 3.0}};
+  log.append(record);
+  log.save(path);
+  SpectraClientConfig cfg = Rig::fast_config();
+  cfg.usage_log_path = path;
+  Rig rig(cfg);
+  try {
+    rig.spectra->register_fidelity(rig.work_op());
+    ADD_FAILURE() << "a record with an undeclared feature was replayed";
+  } catch (const util::ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("'size'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(rig.spectra->is_registered("work"));
+  OperationDesc declared = rig.work_op();
+  declared.input_params = {"size"};
+  rig.spectra->register_fidelity(declared);
+  EXPECT_EQ(rig.spectra->model("work").observations(), 1u);
+  std::remove(path.c_str());
 }
 
 TEST(SpectraClientTest, DecisionTraceCapturedWhenEnabled) {

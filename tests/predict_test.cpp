@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "predict/features.h"
 #include "predict/file_predictor.h"
@@ -18,13 +20,22 @@
 namespace spectra::predict {
 namespace {
 
-// One-response samples and predictions, through the K-response API.
-void add_one(RecencyLinear& m, const FeatureMap& x, double y) {
-  m.add(x, &y);
+// Features by name, as the tests write them, and every name they use in
+// name order: the schema the helpers below map them onto.
+using Named = std::map<std::string, double>;
+const std::vector<std::string> kNames = {"a", "b", "c", "x", "z"};
+
+FeatureSlots slots(const Named& named) {
+  return to_slots(kNames, named, "test", "feature");
 }
-double predict_one(const RecencyLinear& m, const FeatureMap& x) {
+
+// One-response samples and predictions, through the K-response API.
+void add_one(RecencyLinear& m, const Named& x, double y) {
+  m.add(slots(x), &y);
+}
+double predict_one(const RecencyLinear& m, const Named& x) {
   double y = 0.0;
-  m.predict(x, &y);
+  m.predict(slots(x), &y);
   return y;
 }
 void add_one(NumericPredictor& p, const FeatureVector& f, double y) {
@@ -34,61 +45,6 @@ double predict_one(const NumericPredictor& p, const FeatureVector& f) {
   double y = 0.0;
   p.predict(f, &y);
   return y;
-}
-
-// ---------------------------------------------------------------- features
-
-TEST(FeatureMapTest, InsertionOrderDoesNotChangeEntriesOrHash) {
-  // Inserts in name order append; any other order binary-searches. The
-  // resulting maps must be indistinguishable.
-  const std::vector<std::string> names = {
-      "dict",         "dict_local_w", "dict_remote_i", "dict_remote_w",
-      "ebmt",         "ebmt_local_w", "gloss",         "gloss_remote_i",
-      "gloss_remote_w", "lm_local_w", "words",         "x"};
-  const auto build = [&](const std::vector<std::size_t>& order) {
-    FeatureMap m;
-    for (const std::size_t i : order) {
-      m[util::Symbol(names[i])] = static_cast<double>(i) + 0.5;
-    }
-    return m;
-  };
-  std::vector<std::size_t> order(names.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const FeatureMap sorted = build(order);
-  std::vector<std::string> sorted_names;
-  for (const auto& e : sorted) sorted_names.emplace_back(e.name.view());
-  EXPECT_EQ(sorted_names, names);
-
-  std::vector<std::vector<std::size_t>> orders = {
-      {order.rbegin(), order.rend()}};
-  util::Rng rng(11);
-  for (int s = 0; s < 8; ++s) {
-    std::vector<std::size_t> shuffled = order;
-    for (std::size_t i = shuffled.size(); i > 1; --i) {
-      std::swap(shuffled[i - 1],
-                shuffled[static_cast<std::size_t>(rng.uniform_int(
-                    0, static_cast<std::int64_t>(i) - 1))]);
-    }
-    orders.push_back(shuffled);
-  }
-  for (const auto& o : orders) {
-    const FeatureMap m = build(o);
-    EXPECT_EQ(m, sorted);
-    EXPECT_EQ(m.hash(), sorted.hash());
-    auto a = m.begin();
-    for (auto b = sorted.begin(); b != sorted.end(); ++a, ++b) {
-      ASSERT_NE(a, m.end());
-      EXPECT_EQ(a->name, b->name);
-      EXPECT_EQ(a->value, b->value);
-    }
-    EXPECT_EQ(a, m.end());
-  }
-  // Re-inserting an existing name (the last one included) finds it.
-  FeatureMap m = build(order);
-  m[util::Symbol("x")] = 11.5;
-  m[util::Symbol("dict")] = 0.5;
-  EXPECT_EQ(m, sorted);
-  EXPECT_EQ(m.hash(), sorted.hash());
 }
 
 // ------------------------------------------------------------ RecencyLinear
@@ -214,10 +170,8 @@ TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
   // an under-identified prefix (the solve fails on too few samples),
   // features that appear mid-stream (X'X regrows), and a collinear stretch
   // (c = 2a, b constant) whose normal equations are singular, so only the
-  // ridge keeps the elimination going. The ridge is at least 1e-8 of the
-  // trace, and the intercept alone puts the trace at >= 1, so no finite
-  // history fails the solve's 1e-12 pivot test; the prefix covers the
-  // failed-solve path. Every prediction must be bit-equal.
+  // ridge keeps the elimination going; the prefix covers the failed-solve
+  // path. Every prediction must be bit-equal.
   constexpr std::size_t kK = 3;
   RecencyLinear multi(0.9, kK);
   std::vector<RecencyLinear> single(kK, RecencyLinear(0.9));
@@ -227,7 +181,7 @@ TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
       {-4.0, 0.25, 7.0, -1.0},
       {1e6, 1e4, 0.0, 3e5},
   }};
-  const std::vector<FeatureMap> queries = {
+  const std::vector<Named> queries = {
       {},
       {{"a", 2.0}},
       {{"b", 1.5}},
@@ -240,25 +194,29 @@ TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
     EXPECT_EQ(multi.identifiable(), single[0].identifiable()) << step;
     for (const auto& q : queries) {
       double got[kK];
-      multi.predict(q, got);
+      multi.predict(slots(q), got);
       for (std::size_t k = 0; k < kK; ++k) {
         EXPECT_EQ(got[k], predict_one(single[k], q))
             << "step " << step << " k " << k;
       }
     }
   };
-  const auto feed = [&](const FeatureMap& x, int step) {
+  const auto feed = [&](const Named& x, int step) {
+    const auto value = [&x](const char* name) {
+      const auto it = x.find(name);
+      return it != x.end() ? it->second : 0.0;
+    };
     double y[kK];
     for (std::size_t k = 0; k < kK; ++k) {
-      const double a = x.find("a") ? *x.find("a") : 0.0;
-      const double b = x.find("b") ? *x.find("b") : 0.0;
-      const double c = x.find("c") ? *x.find("c") : 0.0;
+      const double a = value("a");
+      const double b = value("b");
+      const double c = value("c");
       y[k] = (coef[k][0] + coef[k][1] * a + coef[k][2] * b +
               coef[k][3] * c) *
              rng.noise_factor(0.1);
       add_one(single[k], x, y[k]);
     }
-    multi.add(x, y);
+    multi.add(slots(x), y);
     check(step);
   };
   int step = 0;
@@ -278,6 +236,213 @@ TEST(RecencyLinearTest, MultiResponseMatchesSingleResponseModels) {
          step++);
   }
   for (int i = 0; i < 6; ++i) feed({{"b", rng.uniform(0.0, 4.0)}}, step++);
+}
+
+// RecencyLinear as it was when features were keyed by name: a column per
+// name in the order names first appear (a sample's new names in name
+// order), each sample and query looked up by name per column, and a solve
+// that refuses a pivot below 1e-12.
+class NamedRecencyLinear {
+ public:
+  NamedRecencyLinear(double decay, std::size_t responses)
+      : decay_(decay),
+        responses_(responses),
+        xtx_(1, 0.0),
+        xty_(responses, 0.0),
+        mean_num_(responses, 0.0) {}
+
+  bool identifiable() const {
+    return weight_ > 0.0 && samples_ >= names_.size() + 2;
+  }
+
+  void add(const Named& features, const double* y) {
+    const std::size_t old_d = names_.size() + 1;
+    for (const auto& [name, value] : features) {  // name order
+      if (std::find(names_.begin(), names_.end(), name) == names_.end()) {
+        names_.push_back(name);
+      }
+    }
+    const std::size_t d = names_.size() + 1;
+    if (d != old_d) {
+      std::vector<double> xtx(d * d, 0.0);
+      for (std::size_t i = 0; i < old_d; ++i) {
+        std::copy_n(xtx_.begin() + i * old_d, old_d, xtx.begin() + i * d);
+      }
+      xtx_.swap(xtx);
+      xty_.resize(d * responses_, 0.0);
+    }
+    const std::vector<double> x = row(features);
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        xtx_[i * d + j] = decay_ * xtx_[i * d + j] + x[i] * x[j];
+      }
+      for (std::size_t k = 0; k < responses_; ++k) {
+        double& xty = xty_[i * responses_ + k];
+        xty = decay_ * xty + x[i] * y[k];
+      }
+    }
+    weight_ = decay_ * weight_ + 1.0;
+    ++samples_;
+    for (std::size_t k = 0; k < responses_; ++k) {
+      mean_num_[k] = decay_ * mean_num_[k] + y[k];
+    }
+  }
+
+  void predict(const Named& features, double* out) const {
+    std::vector<double> beta;
+    const bool fitted = !names_.empty() && solve(beta);
+    if (fitted) {
+      const std::vector<double> x = row(features);
+      for (std::size_t k = 0; k < responses_; ++k) {
+        out[k] = 0.0;
+        out[k] += beta[k] * 1.0;
+      }
+      for (std::size_t i = 1; i < x.size(); ++i) {
+        for (std::size_t k = 0; k < responses_; ++k) {
+          out[k] += beta[i * responses_ + k] * x[i];
+        }
+      }
+    }
+    for (std::size_t k = 0; k < responses_; ++k) {
+      out[k] = fitted && std::isfinite(out[k])
+                   ? std::max(0.0, out[k])
+                   : std::max(0.0, mean_num_[k] / weight_);
+    }
+  }
+
+ private:
+  // x = [1, features in names_ order], 0 for a name `features` lacks.
+  std::vector<double> row(const Named& features) const {
+    std::vector<double> x(names_.size() + 1, 0.0);
+    x[0] = 1.0;
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      const auto it = features.find(names_[i]);
+      if (it != features.end()) x[i + 1] = it->second;
+    }
+    return x;
+  }
+
+  bool solve(std::vector<double>& beta) const {
+    const std::size_t d = names_.size() + 1;
+    const std::size_t k_count = responses_;
+    if (samples_ < d + 1) return false;
+    std::vector<double> flat = xtx_;
+    const auto a = [&](std::size_t r, std::size_t c) -> double& {
+      return flat[r * d + c];
+    };
+    double trace = 0.0;
+    for (std::size_t i = 0; i < d; ++i) trace += a(i, i);
+    const double ridge = 1e-8 * std::max(trace, 1.0);
+    for (std::size_t i = 0; i < d; ++i) a(i, i) += ridge;
+    beta = xty_;
+    const auto b = [&](std::size_t r) { return &beta[r * k_count]; };
+    for (std::size_t col = 0; col < d; ++col) {
+      std::size_t pivot = col;
+      for (std::size_t r = col + 1; r < d; ++r) {
+        if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
+      }
+      if (std::abs(a(pivot, col)) < 1e-12) return false;
+      if (pivot != col) {
+        std::swap_ranges(flat.begin() + col * d,
+                         flat.begin() + (col + 1) * d,
+                         flat.begin() + pivot * d);
+        std::swap_ranges(b(col), b(col) + k_count, b(pivot));
+      }
+      for (std::size_t r = 0; r < d; ++r) {
+        if (r == col) continue;
+        const double f = a(r, col) / a(col, col);
+        for (std::size_t c = col; c < d; ++c) a(r, c) -= f * a(col, c);
+        for (std::size_t k = 0; k < k_count; ++k) b(r)[k] -= f * b(col)[k];
+      }
+    }
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t k = 0; k < k_count; ++k) b(i)[k] /= a(i, i);
+    }
+    return true;
+  }
+
+  double decay_;
+  std::size_t responses_;
+  std::vector<std::string> names_;
+  std::vector<double> xtx_;
+  std::vector<double> xty_;
+  double weight_ = 0.0;
+  std::size_t samples_ = 0;
+  std::vector<double> mean_num_;
+};
+
+TEST(RecencyLinearTest, SlotColumnsMatchNamedReference) {
+  // One seeded stream: features appear in later samples, two at a time
+  // (z with a, then b with c, so the order new columns join matters), and
+  // every sample carries a random subset of what has appeared. After every
+  // sample, each query (subsets, a feature never trained, and the sample
+  // itself) must predict bit-equal to the name-keyed reference.
+  constexpr std::size_t kK = 2;
+  RecencyLinear model(0.9, kK);
+  NamedRecencyLinear ref(0.9, kK);
+  util::Rng rng(41);
+  const std::array<std::array<double, 5>, kK> coef = {{
+      {3.0, -1.5, 0.25, 7.0, 2.0},  // a, b, c, x, z
+      {1e5, 40.0, -3e3, 0.5, 9e4},
+  }};
+  const std::vector<Named> queries = {
+      {},
+      {{"x", 2.0}},
+      {{"a", 1.5}, {"z", 4.0}},
+      {{"b", 3.0}, {"c", 0.5}, {"x", 1.0}},
+      {{"a", 9.0}, {"b", 1.0}, {"c", 6.0}, {"x", 3.5}, {"z", 0.25}},
+  };
+  int compared = 0;
+  const auto check = [&](const Named& sample, int step) {
+    ASSERT_EQ(model.identifiable(), ref.identifiable()) << step;
+    std::vector<Named> all = queries;
+    all.push_back(sample);
+    for (const auto& q : all) {
+      double got[kK], want[kK];
+      model.predict(slots(q), got);
+      ref.predict(q, want);
+      for (std::size_t k = 0; k < kK; ++k) {
+        EXPECT_EQ(got[k], want[k]) << "step " << step << " k " << k;
+        ++compared;
+      }
+    }
+  };
+  const auto sample = [&](const std::vector<std::size_t>& always,
+                          const std::vector<std::size_t>& maybe) {
+    Named x;
+    for (const std::size_t i : always) x[kNames[i]] = rng.uniform(0.0, 9.0);
+    for (const std::size_t i : maybe) {
+      if (rng.uniform() < 0.5) x[kNames[i]] = rng.uniform(0.0, 9.0);
+    }
+    return x;
+  };
+  for (int step = 0; step < 60; ++step) {
+    Named x;
+    if (step < 4) {
+      x = sample({3}, {});  // x alone
+    } else if (step == 4) {
+      x = sample({0, 4}, {3});  // z and a appear together
+    } else if (step < 16) {
+      x = sample({}, {0, 3, 4});
+    } else if (step == 16) {
+      x = sample({1, 2}, {0, 3, 4});  // c and b appear together
+    } else {
+      x = sample({}, {0, 1, 2, 3, 4});
+    }
+    double y[kK];
+    for (std::size_t k = 0; k < kK; ++k) {
+      y[k] = 10.0;
+      for (std::size_t i = 0; i < kNames.size(); ++i) {
+        const auto it = x.find(kNames[i]);
+        if (it != x.end()) y[k] += coef[k][i] * it->second;
+      }
+      y[k] *= rng.noise_factor(0.1);
+    }
+    model.add(slots(x), y);
+    ref.add(x, y);
+    check(x, step);
+  }
+  EXPECT_EQ(compared, 60 * 6 * static_cast<int>(kK));
 }
 
 // --------------------------------------------------------------------- LRU
@@ -322,14 +487,15 @@ TEST(LruMapTest, FactoryUsedOnCreation) {
 
 // --------------------------------------------------------- NumericPredictor
 
+// Discrete {plan, vocab} and continuous {len}, through their schema.
+const FeatureSchema kFvSchema{{"plan", "vocab"}, {"len"}};
+
 FeatureVector fv(double plan, double vocab, double len,
                  const std::string& tag = "") {
-  FeatureVector f;
-  f.discrete["plan"] = plan;
-  f.discrete["vocab"] = vocab;
-  f.continuous["len"] = len;
-  f.data_tag = tag;
-  return f;
+  return {to_slots(kFvSchema.discrete, {{"plan", plan}, {"vocab", vocab}},
+                   "test", "feature"),
+          to_slots(kFvSchema.continuous, {{"len", len}}, "test", "feature"),
+          tag};
 }
 
 TEST(NumericPredictorTest, UntrainedThrows) {
@@ -511,9 +677,9 @@ TEST(FilePredictorTest, DuplicateAccessesWithinOneRunCountOnce) {
 UsageRecord sample_record() {
   UsageRecord r;
   r.operation = "op";
-  r.features.discrete["plan"] = 1;
-  r.features.continuous["len"] = 2.5;
-  r.features.data_tag = "doc";
+  r.discrete = {{"plan", 1}};
+  r.continuous = {{"len", 2.5}};
+  r.data_tag = "doc";
   r.elapsed = 1.5;
   r.local_cycles = 1e6;
   r.remote_cycles = 2e6;
@@ -530,9 +696,9 @@ TEST(UsageLogTest, SerializeRoundTrip) {
   const UsageRecord r = sample_record();
   const UsageRecord back = UsageLog::deserialize(UsageLog::serialize(r));
   EXPECT_EQ(back.operation, r.operation);
-  EXPECT_EQ(back.features.discrete, r.features.discrete);
-  EXPECT_EQ(back.features.continuous, r.features.continuous);
-  EXPECT_EQ(back.features.data_tag, r.features.data_tag);
+  EXPECT_EQ(back.discrete, r.discrete);
+  EXPECT_EQ(back.continuous, r.continuous);
+  EXPECT_EQ(back.data_tag, r.data_tag);
   EXPECT_DOUBLE_EQ(back.elapsed, r.elapsed);
   EXPECT_DOUBLE_EQ(back.energy, r.energy);
   EXPECT_EQ(back.energy_valid, r.energy_valid);
@@ -590,7 +756,7 @@ TEST(UsageLogTest, FromUsageMergesLocalAndRemoteAccesses) {
   monitor::OperationUsage u;
   u.local_file_accesses = {acc("a", 1)};
   u.remote_file_accesses = {acc("a", 1), acc("b", 2)};
-  const auto r = UsageRecord::from_usage("op", FeatureVector{}, u);
+  const auto r = UsageRecord::from_usage("op", {}, FeatureVector{}, u);
   EXPECT_EQ(r.file_accesses.size(), 2u);
 }
 
@@ -604,14 +770,14 @@ struct PerMetricModel {
   FileAccessPredictor files;
 
   void observe(const FeatureVector& f, const monitor::OperationUsage& u) {
-    const UsageRecord r = UsageRecord::from_usage("", f, u);
-    add_one(local_cycles, r.features, r.local_cycles);
-    add_one(remote_cycles, r.features, r.remote_cycles);
-    add_one(bytes_sent, r.features, r.bytes_sent);
-    add_one(bytes_received, r.features, r.bytes_received);
-    add_one(rpcs, r.features, r.rpcs);
-    if (r.energy_valid) add_one(energy, r.features, r.energy);
-    files.add(r.features, r.file_accesses);
+    const UsageRecord r = UsageRecord::from_usage("", {}, f, u);
+    add_one(local_cycles, f, r.local_cycles);
+    add_one(remote_cycles, f, r.remote_cycles);
+    add_one(bytes_sent, f, r.bytes_sent);
+    add_one(bytes_received, f, r.bytes_received);
+    add_one(rpcs, f, r.rpcs);
+    if (r.energy_valid) add_one(energy, f, r.energy);
+    files.add(f, r.file_accesses);
   }
   void observe_failure(const FeatureVector& f,
                        const monitor::OperationUsage& partial) {
@@ -641,11 +807,14 @@ TEST(OperationModelTest, StreamsMatchPerMetricReference) {
   util::Rng rng(31);
   // More data tags than the LRU holds (8), so per-document model sets are
   // evicted and re-created; plans give bins; "words" appears mid-stream.
+  const FeatureSchema schema{{"plan"}, {"len", "words"}};
   const auto features = [&](int step) {
-    FeatureVector f;
-    f.discrete["plan"] = static_cast<double>(rng.uniform_int(0, 2));
-    f.continuous["len"] = rng.uniform(1.0, 8.0);
-    if (step > 40) f.continuous["words"] = rng.uniform(1.0, 40.0);
+    Named discrete{{"plan", static_cast<double>(rng.uniform_int(0, 2))}};
+    Named continuous{{"len", rng.uniform(1.0, 8.0)}};
+    if (step > 40) continuous["words"] = rng.uniform(1.0, 40.0);
+    FeatureVector f{to_slots(schema.discrete, discrete, "test", "feature"),
+                    to_slots(schema.continuous, continuous, "test", "feature"),
+                    {}};
     const auto tag = rng.uniform_int(0, 11);
     if (tag < 10) f.data_tag = "doc" + std::to_string(tag);
     return f;
@@ -678,7 +847,7 @@ TEST(OperationModelTest, StreamsMatchPerMetricReference) {
   for (int step = 0; step < 160; ++step) {
     const FeatureVector f = features(step);
     monitor::OperationUsage u;
-    u.local_cycles = 1e6 * (1.0 + f.continuous.at("len")) *
+    u.local_cycles = 1e6 * (1.0 + f.continuous[0]) *  // len
                      rng.noise_factor(0.1);
     u.remote_cycles = step % 3 == 0 ? 0.0 : 4e6 * rng.uniform(0.5, 1.5);
     u.bytes_sent = 100.0 * rng.uniform(1.0, 9.0);
@@ -763,7 +932,8 @@ TEST(OperationModelTest, ReplayEquivalentToObserve) {
   u.local_cycles = 7e6;
   for (int i = 0; i < 3; ++i) {
     a.observe(fv(0, 0, 1), u);
-    b.replay(UsageRecord::from_usage("op", fv(0, 0, 1), u));
+    b.replay(kFvSchema,
+             UsageRecord::from_usage("op", kFvSchema, fv(0, 0, 1), u));
   }
   DemandEstimate ea, eb;
   a.predict(fv(0, 0, 1), ea);

@@ -228,7 +228,7 @@ TEST_P(PredictorConvergenceTest, ConvergesToTruth) {
   predict::NumericPredictor p(cfg);
   util::Rng rng(99);
   predict::FeatureVector f;
-  f.discrete["plan"] = 1;
+  f.discrete = predict::to_slots({"plan"}, {{"plan", 1.0}}, "test", "feature");
   for (int i = 0; i < 300; ++i) {
     const double y = 1000.0 * rng.noise_factor(cv);
     p.add(f, &y);

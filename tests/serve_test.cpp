@@ -528,6 +528,59 @@ TEST(ServerTest, NonFiniteBeginParamsRejectedInBand) {
   EXPECT_EQ(result.ops, 1u);
 }
 
+// A begin naming a parameter the session's operation does not declare is
+// refused in-band before the session decides: nothing is recorded, the
+// session keeps serving, and the record still replays. (Each new name
+// would otherwise become a regression column and an interned string that
+// lives as long as the daemon.)
+TEST(ServerTest, UndeclaredBeginParameterRefusedInBand) {
+  const std::string record_path =
+      ::testing::TempDir() + "/serve_undeclared.jsonl";
+  std::remove(record_path.c_str());
+  {
+    ServeConfig cfg;
+    cfg.record_path = record_path;
+    ServerFixture fx(std::move(cfg));
+    BlockingClient client("127.0.0.1", fx.port());
+    client.hello("undeclared");
+    client.register_app("nullop", "baseline", 1);
+    BeginOpMsg undeclared;
+    undeclared.params = {{"y", 1.0}};
+    try {
+      client.begin_op(undeclared);
+      ADD_FAILURE() << "y was accepted";
+    } catch (const ServerError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.code(), ErrorCode::kGeneric);
+      EXPECT_NE(what.find("'y'"), std::string::npos) << what;
+    }
+    BeginOpMsg begin;
+    begin.params = {{"x", 1.5}};
+    EXPECT_TRUE(client.begin_op(begin).ok);
+    EXPECT_TRUE(client.end_op().ok);
+    client.close();
+    fx.stop();
+  }
+  std::ifstream in(record_path);
+  std::string line;
+  int begins = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"serve.begin\"") == std::string::npos) continue;
+    ++begins;
+    EXPECT_NE(line.find("\"params\":{\"x\":1.5}"), std::string::npos) << line;
+  }
+  EXPECT_EQ(begins, 1);
+  ReplayConfig rc;
+  rc.record_path = record_path;
+  const ReplayResult result =
+      run_replay(rc, scenario::app_service_factory());
+  EXPECT_TRUE(result.identical)
+      << "first divergence at canonical line " << result.mismatch_line
+      << "\n  expected: " << result.expected_line
+      << "\n  actual:   " << result.actual_line;
+  EXPECT_EQ(result.ops, 1u);
+}
+
 // Each app's input is range-checked before a decision: an utterance length
 // outside (0, 600] s, a sentence outside [1, 10000] words, or an unknown
 // document gets an in-band kGeneric error, is not recorded, and leaves the
